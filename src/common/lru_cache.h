@@ -6,9 +6,7 @@
  * A bounded map with least-recently-used eviction: get() and put()
  * both promote the entry to most-recently-used, so eviction order
  * follows access order, not insertion order. Not thread-safe — the
- * service's deterministic event loop is single-threaded, and the
- * sharded wrapper (service::ResultCache) keeps shards independent so
- * a future concurrent transport can lock per shard.
+ * service's deterministic event loop is single-threaded.
  */
 
 #ifndef DOPPIO_COMMON_LRU_CACHE_H

@@ -4,80 +4,6 @@
 
 namespace doppio::service {
 
-ResultCache::ResultCache(std::size_t shards, std::size_t capacityPerShard)
-{
-    if (shards == 0)
-        fatal("ResultCache: shards must be positive");
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i)
-        shards_.emplace_back(capacityPerShard);
-}
-
-std::uint64_t
-ResultCache::fnv1a(const std::string &key)
-{
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (const char c : key) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
-common::LruCache<std::string, Response> &
-ResultCache::shardFor(const std::string &key)
-{
-    return shards_[fnv1a(key) % shards_.size()];
-}
-
-const Response *
-ResultCache::get(const std::string &key)
-{
-    return shardFor(key).get(key);
-}
-
-void
-ResultCache::put(const std::string &key, const Response &response)
-{
-    shardFor(key).put(key, response);
-}
-
-std::uint64_t
-ResultCache::hits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard.hits();
-    return total;
-}
-
-std::uint64_t
-ResultCache::misses() const
-{
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard.misses();
-    return total;
-}
-
-std::uint64_t
-ResultCache::evictions() const
-{
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard.evictions();
-    return total;
-}
-
-std::size_t
-ResultCache::size() const
-{
-    std::size_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard.size();
-    return total;
-}
-
 bool
 SingleFlight::begin(const std::string &key)
 {

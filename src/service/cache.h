@@ -1,15 +1,6 @@
 /**
  * @file
- * Result caching for the planning service (DESIGN.md §14).
- *
- * ResultCache: a sharded LRU of finished plan responses keyed by the
- * canonical (workload, mode, constraint, workers) string. Sharding is
- * by FNV-1a of the key (not std::hash, whose value is
- * implementation-defined — shard assignment feeds eviction order and
- * therefore the response transcript, which must be stable across
- * toolchains). Only full-fidelity answers are cached: degraded or
- * model-only responses would otherwise keep serving stale partial
- * data after the incident that caused them has passed.
+ * Single-flight dedup for the planning service (DESIGN.md §14).
  *
  * SingleFlight: dedup of concurrent identical queries. The first
  * arrival becomes the leader and computes; later arrivals attach as
@@ -25,36 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/lru_cache.h"
-#include "service/protocol.h"
-
 namespace doppio::service {
-
-/** Sharded LRU of completed plan responses. */
-class ResultCache
-{
-  public:
-    ResultCache(std::size_t shards, std::size_t capacityPerShard);
-
-    /** @return the cached response (promoted), or nullptr. */
-    const Response *get(const std::string &key);
-
-    void put(const std::string &key, const Response &response);
-
-    std::size_t shards() const { return shards_.size(); }
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t evictions() const;
-    std::size_t size() const;
-
-    /** Toolchain-stable 64-bit FNV-1a (exposed for tests). */
-    static std::uint64_t fnv1a(const std::string &key);
-
-  private:
-    common::LruCache<std::string, Response> &shardFor(const std::string &key);
-
-    std::vector<common::LruCache<std::string, Response>> shards_;
-};
 
 /** Concurrent-identical-query dedup registry. */
 class SingleFlight

@@ -186,6 +186,8 @@ Request::parseLine(const std::string &line)
         "deadline_s", "budget_usd", "workers", "timeout_ms",
         "at_ms",
     };
+    if (line.size() > kMaxLineBytes)
+        fatal("request: line longer than %zu bytes", kMaxLineBytes);
     const auto fields = parseFlatObject(line);
     for (const auto &[key, value] : fields) {
         (void)value;

@@ -20,10 +20,18 @@
 #ifndef DOPPIO_SERVICE_PROTOCOL_H
 #define DOPPIO_SERVICE_PROTOCOL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace doppio::service {
+
+/**
+ * Longest request line either transport accepts, far above any legal
+ * request: parseLine() rejects longer lines, and serveTcp stops
+ * buffering a line at this length.
+ */
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 /** One parsed request line. */
 struct Request
@@ -40,11 +48,12 @@ struct Request
     double budgetUsd = 0.0;   //!< dollar budget (fastest)
     int workers = 0;          //!< fleet size; 0 = service default
     double timeoutMs = 0.0;   //!< service deadline budget; 0 = default
-    double atMs = 0.0;        //!< arrival time (in-process transport)
+    double atMs = 0.0;        //!< arrival time (scripts; TCP ignores it)
 
     /**
-     * Parse one line; fatal() (FatalError) on malformed JSON, unknown
-     * keys, missing required fields or out-of-range values.
+     * Parse one line; fatal() (FatalError) on a line longer than
+     * kMaxLineBytes, malformed JSON, unknown keys, missing required
+     * fields or out-of-range values.
      */
     static Request parseLine(const std::string &line);
 
@@ -59,7 +68,7 @@ struct Request
 struct Response
 {
     std::string id;
-    double tMs = 0.0;     //!< emission time (virtual, in-process loop)
+    double tMs = 0.0;     //!< emission time on the event loop's clock
     /** ok | shed | rejected | expired | error. */
     std::string status = "ok";
     std::string reason;   //!< non-ok detail, e.g. "queue_full"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -26,7 +27,7 @@ PlanningService::PlanningService(ServiceConfig config)
       breaker_(config.breaker),
       bucket_(config.ratePerSec,
               config.ratePerSec > 0.0 ? config.burst : 1.0),
-      cache_(config.cacheShards, config.cacheShardCapacity)
+      cache_(config.cacheCapacity)
 {
     if (config_.workers < 1)
         fatal("PlanningService: workers must be positive");
@@ -238,7 +239,7 @@ PlanningService::onArrival(std::uint64_t seq, double nowMs)
     pending.leader = true;
 
     if (busyWorkers_ < config_.workers) {
-        startJob(seq, nowMs);
+        dispatch({seq}, nowMs);
         return;
     }
     if (queue_.size() >= config_.queueCapacity) {
@@ -258,54 +259,16 @@ PlanningService::onArrival(std::uint64_t seq, double nowMs)
 }
 
 void
-PlanningService::startJob(std::uint64_t seq, double nowMs)
-{
-    const auto it = pending_.find(seq);
-    Pending &pending = it->second;
-    const double timeout = timeoutFor(pending.req);
-    const double waited = nowMs - pending.arrivalMs;
-    queueWaitMs_.observe(waited);
-    if (waited >= timeout) {
-        shedFlight(seq, nowMs, "expired", "queue_wait");
-        return;
-    }
-
-    const bool needModel = !planner_.hasModel(pending.req);
-    const bool allowSlow = breaker_.allowSlowPath(nowMs);
-    if (needModel && !allowSlow) {
-        shedFlight(seq, nowMs, "shed", "circuit_open");
-        return;
-    }
-
-    DeadlineBudget budget(timeout - waited);
-    Event done;
-    done.result = planner_.plan(pending.req, budget, allowSlow);
-    done.tMs = nowMs + budget.spentMs();
-    done.order = nextOrder_++;
-    done.kind = Event::Kind::Completion;
-    done.seq = seq;
-    done.probeClaimed =
-        allowSlow && breaker_.state() == CircuitBreaker::State::HalfOpen;
-    ++busyWorkers_;
-    events_.push(std::move(done));
-}
-
-void
 PlanningService::drainQueue(double nowMs)
 {
     while (busyWorkers_ < config_.workers && !queue_.empty()) {
-        const std::uint64_t seq = queue_.front();
+        std::vector<std::uint64_t> batch{queue_.front()};
         queue_.pop_front();
-        if (config_.batchMax <= 1) {
-            startJob(seq, nowMs);
-            continue;
-        }
         // Coalesce queued queries sharing this query's profile (same
         // fitted model, same candidate grid) onto one dispatch. Order
         // within the queue is preserved for everyone else.
-        std::vector<std::uint64_t> batch{seq};
         const std::string profile =
-            planner_.profileKey(pending_.at(seq).req);
+            planner_.profileKey(pending_.at(batch.front()).req);
         for (auto it = queue_.begin();
              it != queue_.end() &&
              batch.size() < static_cast<std::size_t>(config_.batchMax);) {
@@ -318,19 +281,17 @@ PlanningService::drainQueue(double nowMs)
                 ++it;
             }
         }
-        batchWidth_.observe(static_cast<double>(batch.size()));
-        if (batch.size() == 1)
-            startJob(seq, nowMs);
-        else
-            startBatch(batch, nowMs);
+        if (config_.batchMax > 1)
+            batchWidth_.observe(static_cast<double>(batch.size()));
+        dispatch(batch, nowMs);
     }
 }
 
 void
-PlanningService::startBatch(const std::vector<std::uint64_t> &seqs,
-                            double nowMs)
+PlanningService::dispatch(const std::vector<std::uint64_t> &seqs,
+                          double nowMs)
 {
-    // Per-member expiry screening; survivors ride the shared sweep.
+    // Per-member expiry screening; survivors share the worker slot.
     std::vector<std::uint64_t> live;
     for (const std::uint64_t seq : seqs) {
         const Pending &pending = pending_.at(seq);
@@ -366,118 +327,66 @@ PlanningService::startBatch(const std::vector<std::uint64_t> &seqs,
                              (nowMs - pending.arrivalMs));
     }
 
-    Planner::BatchOutcome outcome =
-        planner_.planBatch(reqs, budgets, allowSlow);
-
     Event done;
-    done.tMs = nowMs + outcome.occupancyMs;
-    done.order = nextOrder_++;
     done.kind = Event::Kind::Completion;
-    done.seq = live[0];
-    done.result.usedSlowPath = outcome.usedSlowPath;
-    done.result.slowPathMs = outcome.slowPathMs;
-    done.result.slowPathFailed = outcome.slowPathFailed;
-    done.items.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i)
-        done.items.emplace_back(live[i], std::move(outcome.results[i]));
+    done.coalesced = seqs.size() >= 2;
+    if (done.coalesced) {
+        done.outcome = planner_.planBatch(reqs, budgets, allowSlow);
+    } else {
+        // A lone query takes the solo planner, the reference the
+        // batched sweep is tested against.
+        PlanResult result = planner_.plan(reqs[0], budgets[0], allowSlow);
+        done.outcome.occupancyMs = budgets[0].spentMs();
+        done.outcome.usedSlowPath = result.usedSlowPath;
+        done.outcome.slowPathMs = result.slowPathMs;
+        done.outcome.slowPathFailed = result.slowPathFailed;
+        done.outcome.results.push_back(std::move(result));
+    }
+    done.tMs = nowMs + done.outcome.occupancyMs;
+    done.order = nextOrder_++;
     done.probeClaimed =
         allowSlow && breaker_.state() == CircuitBreaker::State::HalfOpen;
-    ++busyWorkers_;
     if (live.size() >= 2) {
         ++counters_.batches;
         counters_.batchedQueries += live.size();
     }
+    done.members = std::move(live);
+    ++busyWorkers_;
     events_.push(std::move(done));
 }
 
 void
 PlanningService::onCompletion(const Event &event)
 {
-    if (!event.items.empty()) {
-        onBatchCompletion(event);
-        return;
-    }
-    lastNowMs_ = std::max(lastNowMs_, event.tMs);
-    --busyWorkers_;
-    const auto it = pending_.find(event.seq);
-    if (it == pending_.end())
-        panic("PlanningService: completion for unknown request");
-    const Pending pending = it->second;
-    pending_.erase(it);
-
-    if (event.result.slowPathFailed)
-        breaker_.recordFailure(event.tMs);
-    else if (event.result.usedSlowPath)
-        breaker_.recordSlowPath(event.result.slowPathMs, event.tMs);
-    else if (event.probeClaimed)
-        breaker_.releaseProbe();
-
-    Response response = event.result.response;
-    response.id = pending.req.id;
-    response.tMs = event.tMs;
-    response.latencyMs = event.tMs - pending.arrivalMs;
-    response.cacheOutcome = "miss";
-
-    const std::string key = pending.req.cacheKey();
-    if (response.status == "ok" && !response.degraded &&
-        !response.modelOnly)
-        cache_.put(key, response);
-    emit(response);
-
-    for (const std::uint64_t fseq : flight_.finish(key)) {
-        const auto fit = pending_.find(fseq);
-        if (fit == pending_.end())
-            continue;
-        const Pending follower = fit->second;
-        pending_.erase(fit);
-        Response fr = response;
-        fr.id = follower.req.id;
-        fr.latencyMs = event.tMs - follower.arrivalMs;
-        fr.cacheOutcome = "dedup";
-        fr.retries = 0;
-        fr.backoffMs = 0.0;
-        // A follower that waited past its own deadline still gets the
-        // answer, flagged late.
-        if (fr.status == "ok" && fr.latencyMs > timeoutFor(follower.req))
-            fr.degraded = true;
-        emit(fr);
-    }
-
-    drainQueue(event.tMs);
-}
-
-void
-PlanningService::onBatchCompletion(const Event &event)
-{
     lastNowMs_ = std::max(lastNowMs_, event.tMs);
     --busyWorkers_;
 
-    // One worker slot, one breaker verdict for the whole batch.
-    if (event.result.slowPathFailed)
+    // One worker slot, one breaker verdict for the whole dispatch.
+    const Planner::BatchOutcome &outcome = event.outcome;
+    if (outcome.slowPathFailed)
         breaker_.recordFailure(event.tMs);
-    else if (event.result.usedSlowPath)
-        breaker_.recordSlowPath(event.result.slowPathMs, event.tMs);
+    else if (outcome.usedSlowPath)
+        breaker_.recordSlowPath(outcome.slowPathMs, event.tMs);
     else if (event.probeClaimed)
         breaker_.releaseProbe();
 
-    for (const auto &[seq, result] : event.items) {
-        const auto it = pending_.find(seq);
+    for (std::size_t i = 0; i < event.members.size(); ++i) {
+        const auto it = pending_.find(event.members[i]);
         if (it == pending_.end())
-            panic("PlanningService: batch completion for unknown "
-                  "request");
+            panic("PlanningService: completion for unknown request");
         const Pending pending = it->second;
         pending_.erase(it);
 
-        Response response = result.response;
+        Response response = outcome.results[i].response;
         response.id = pending.req.id;
         response.tMs = event.tMs;
         response.latencyMs = event.tMs - pending.arrivalMs;
         response.cacheOutcome = "miss";
-        // The shared sweep answers everyone when the *batch* finishes;
+        // A shared sweep answers everyone when the *batch* finishes;
         // a member whose own deadline passed first still gets its
         // answer, flagged late (degraded), and never poisons the
         // result cache.
-        if (response.status == "ok" &&
+        if (event.coalesced && response.status == "ok" &&
             response.latencyMs > timeoutFor(pending.req))
             response.degraded = true;
 
@@ -499,6 +408,8 @@ PlanningService::onBatchCompletion(const Event &event)
             fr.cacheOutcome = "dedup";
             fr.retries = 0;
             fr.backoffMs = 0.0;
+            // A follower that waited past its own deadline still gets
+            // the answer, flagged late.
             if (fr.status == "ok" &&
                 fr.latencyMs > timeoutFor(follower.req))
                 fr.degraded = true;
@@ -509,38 +420,39 @@ PlanningService::onBatchCompletion(const Event &event)
     drainQueue(event.tMs);
 }
 
-std::vector<std::string>
-PlanningService::runScript(const Script &script)
+void
+PlanningService::submit(const std::string &line,
+                        std::optional<double> nowMs)
 {
-    transcript_.clear();
-    for (const std::string &line : script) {
-        const auto first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        ++counters_.received;
-        try {
-            const Request req = Request::parseLine(line);
-            const std::uint64_t seq = nextSeq_++;
-            Pending pending;
-            pending.req = req;
-            pending.arrivalMs = req.atMs;
-            pending_.emplace(seq, std::move(pending));
-            Event arrival;
-            arrival.tMs = req.atMs;
-            arrival.order = nextOrder_++;
-            arrival.kind = Event::Kind::Arrival;
-            arrival.seq = seq;
-            events_.push(std::move(arrival));
-        } catch (const FatalError &error) {
-            // Unparseable lines carry no arrival time; answer them
-            // up front, before virtual time starts.
-            warn("service: %s", error.what());
-            Response response;
-            response.status = "error";
-            response.reason = "bad_request";
-            emit(response);
-        }
+    ++counters_.received;
+    try {
+        const Request req = Request::parseLine(line);
+        const std::uint64_t seq = nextSeq_++;
+        Pending pending;
+        pending.req = req;
+        pending.arrivalMs = nowMs.value_or(req.atMs);
+        Event arrival;
+        arrival.tMs = pending.arrivalMs;
+        arrival.order = nextOrder_++;
+        arrival.kind = Event::Kind::Arrival;
+        arrival.seq = seq;
+        pending_.emplace(seq, std::move(pending));
+        events_.push(std::move(arrival));
+    } catch (const FatalError &error) {
+        // An unparseable line carries no arrival time; a script
+        // answers it before virtual time starts.
+        warn("service: %s", error.what());
+        Response response;
+        response.tMs = nowMs.value_or(0.0);
+        response.status = "error";
+        response.reason = "bad_request";
+        emit(response);
     }
+}
+
+std::vector<std::string>
+PlanningService::drain()
+{
     while (!events_.empty()) {
         const Event event = events_.top();
         events_.pop();
@@ -552,98 +464,26 @@ PlanningService::runScript(const Script &script)
     if (!pending_.empty())
         panic("PlanningService: %zu requests left unanswered",
               pending_.size());
-    return transcript_;
+    return std::exchange(transcript_, {});
 }
 
-std::string
-PlanningService::handleLineNow(const std::string &line, double nowMs)
+std::vector<std::string>
+PlanningService::runScript(const Script &script)
 {
-    lastNowMs_ = std::max(lastNowMs_, nowMs);
-    ++counters_.received;
-    Request req;
-    try {
-        req = Request::parseLine(line);
-    } catch (const FatalError &error) {
-        warn("service: %s", error.what());
-        Response response;
-        response.tMs = nowMs;
-        response.status = "error";
-        response.reason = "bad_request";
-        countResponse(response);
-        return response.toJson();
+    for (const std::string &line : script) {
+        const auto first = line.find_first_not_of(" \t");
+        if (first == std::string::npos || line[first] == '#')
+            continue;
+        submit(line, std::nullopt);
     }
-    if (req.kind == Request::Kind::Stats)
-        return stats().toJson();
-    if (req.kind == Request::Kind::Health)
-        return healthLine(nowMs);
-    if (req.kind == Request::Kind::Metrics)
-        return metricsLine();
+    return drain();
+}
 
-    Pending pending;
-    pending.req = req;
-    pending.arrivalMs = nowMs;
-
-    if (!knownWorkload(req.workload)) {
-        Response response;
-        response.id = req.id;
-        response.tMs = nowMs;
-        response.status = "error";
-        response.reason = "unknown_workload";
-        countResponse(response);
-        return response.toJson();
-    }
-    const std::string key = req.cacheKey();
-    if (const Response *hit = cache_.get(key)) {
-        Response response = *hit;
-        response.id = req.id;
-        response.tMs = nowMs;
-        response.cacheOutcome = "hit";
-        response.latencyMs = 0.0;
-        response.retries = 0;
-        response.backoffMs = 0.0;
-        countResponse(response);
-        return response.toJson();
-    }
-    if (config_.ratePerSec > 0.0 &&
-        !bucket_.tryAcquire(nowMs / 1000.0)) {
-        const Response response =
-            makeShed(pending, nowMs, "rejected", "rate_limit");
-        countResponse(response);
-        return response.toJson();
-    }
-
-    const bool needModel = !planner_.hasModel(req);
-    const bool allowSlow = breaker_.allowSlowPath(nowMs);
-    if (needModel && !allowSlow) {
-        const Response response =
-            makeShed(pending, nowMs, "shed", "circuit_open");
-        countResponse(response);
-        return response.toJson();
-    }
-    const bool probeClaimed =
-        allowSlow && breaker_.state() == CircuitBreaker::State::HalfOpen;
-
-    DeadlineBudget budget(timeoutFor(req));
-    const PlanResult result = planner_.plan(req, budget, allowSlow);
-    const double doneMs = nowMs + budget.spentMs();
-
-    if (result.slowPathFailed)
-        breaker_.recordFailure(doneMs);
-    else if (result.usedSlowPath)
-        breaker_.recordSlowPath(result.slowPathMs, doneMs);
-    else if (probeClaimed)
-        breaker_.releaseProbe();
-
-    Response response = result.response;
-    response.id = req.id;
-    response.tMs = doneMs;
-    response.latencyMs = budget.spentMs();
-    response.cacheOutcome = "miss";
-    if (response.status == "ok" && !response.degraded &&
-        !response.modelOnly)
-        cache_.put(key, response);
-    countResponse(response);
-    return response.toJson();
+std::vector<std::string>
+PlanningService::answerLine(const std::string &line, double nowMs)
+{
+    submit(line, nowMs);
+    return drain();
 }
 
 ServiceStats

@@ -3,19 +3,19 @@
  * The what-if planning service (DESIGN.md §14).
  *
  * A PlanningService answers line-delimited JSON plan queries through
- * two transports sharing one admission pipeline:
+ * one single-threaded virtual-time event loop (arrival/completion
+ * min-heap) where every cost is virtual milliseconds from the
+ * planner's deterministic accounting. Two entries post into it:
  *
- *   - runScript(): the deterministic in-process transport. Requests
- *     carry their own virtual arrival times (at_ms); the service runs
- *     a single-threaded virtual-time event loop (arrival/completion
- *     min-heap) where every cost is virtual milliseconds from the
- *     planner's deterministic accounting. The same seeded script
- *     always yields a byte-identical response transcript — this is
- *     what tests, the golden CI transcript and bench/ext_service use.
- *   - handleLineNow(): the synchronous transport behind the real TCP
- *     loop (serveTcp). No queue or dedup — each connection's line is
- *     answered in place — but the same cache, token bucket, circuit
- *     breaker and budgeted planner.
+ *   - runScript(): requests carry their own virtual arrival times
+ *     (at_ms). The same seeded script always yields a byte-identical
+ *     response transcript — this is what tests, the golden CI
+ *     transcript and bench/ext_service use.
+ *   - answerLine(): one line arriving at the caller's clock (its at_ms
+ *     ignored), drained before it returns. serveTcp feeds it a
+ *     monotonic wall-derived time, so a socket client goes through
+ *     the same admission pipeline; with one line at a time in flight
+ *     it never queues, dedups or batches.
  *
  * Admission pipeline, in order: result cache (hit = free) ->
  * single-flight dedup (follower parks on the leader) -> token bucket
@@ -33,11 +33,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/token_bucket.h"
 #include "service/breaker.h"
 #include "service/cache.h"
@@ -65,8 +67,8 @@ struct ServiceConfig
     int workers = 2;
     /** Service deadline budget when a query carries no timeout_ms. */
     double defaultTimeoutMs = 20000.0;
-    std::size_t cacheShards = 4;
-    std::size_t cacheShardCapacity = 64;
+    /** Result-cache entries (LRU). */
+    std::size_t cacheCapacity = 256;
     /**
      * Cold-query coalescing (DESIGN.md §16): when a worker frees up,
      * up to this many queued queries sharing one profile (same
@@ -97,11 +99,13 @@ class PlanningService
     std::vector<std::string> runScript(const Script &script);
 
     /**
-     * Answer one line synchronously at @p nowMs (caller's clock; the
-     * TCP loop feeds a monotonic wall-derived time). No queue and no
-     * dedup — budget, cache, token bucket and breaker still apply.
+     * Post @p line's arrival at @p nowMs (the caller's clock; the
+     * line's own at_ms is ignored) into the event loop and drain it.
+     * @return the lines this call emitted — one for any single line
+     * posted onto an idle service.
      */
-    std::string handleLineNow(const std::string &line, double nowMs);
+    std::vector<std::string> answerLine(const std::string &line,
+                                        double nowMs);
 
     /** Operator counters as of now. */
     ServiceStats stats() const;
@@ -132,9 +136,9 @@ class PlanningService
                            std::string postmortemPath = "");
 
     /**
-     * Structured log of every plan response emitted so far (both
-     * transports), in emission order — what the bench and tests
-     * assert invariants over without re-parsing JSON.
+     * Structured log of every plan response emitted so far, in
+     * emission order — what the bench and tests assert invariants
+     * over without re-parsing JSON.
      */
     const std::vector<Response> &responseLog() const { return log_; }
 
@@ -154,12 +158,13 @@ class PlanningService
         double tMs = 0.0;
         std::uint64_t order = 0; //!< FIFO tiebreak at equal times
         enum class Kind { Arrival, Completion } kind = Kind::Arrival;
-        std::uint64_t seq = 0;
-        // Completion payload. For a batched completion, items carries
-        // one (seq, result) per member in dispatch order and result
-        // only holds the breaker-facing aggregates.
-        PlanResult result;
-        std::vector<std::pair<std::uint64_t, PlanResult>> items;
+        std::uint64_t seq = 0; //!< the arriving request
+        // Completion payload: the dispatched requests in dispatch
+        // order, aligned with outcome.results. The outcome's
+        // aggregates are the breaker verdict for the one worker slot.
+        std::vector<std::uint64_t> members;
+        Planner::BatchOutcome outcome;
+        bool coalesced = false; //!< dispatched as a batch (width >= 2)
         bool probeClaimed = false;
 
         bool operator>(const Event &other) const
@@ -183,17 +188,27 @@ class PlanningService
     void shedFlight(std::uint64_t seq, double nowMs, const char *status,
                     const char *reason);
 
+    /**
+     * Parse @p line and post its arrival at @p nowMs, or at its own
+     * at_ms when @p nowMs is empty. An unparseable line is answered
+     * on the spot.
+     */
+    void submit(const std::string &line, std::optional<double> nowMs);
+    /** Run the event loop dry; @return the lines emitted since the
+     *  last drain. */
+    std::vector<std::string> drain();
+
     void onArrival(std::uint64_t seq, double nowMs);
     /** Dispatch queued queries onto free workers, coalescing
      *  same-profile neighbours when batchMax allows. */
     void drainQueue(double nowMs);
-    /** Run one query's plan; schedules its completion event. */
-    void startJob(std::uint64_t seq, double nowMs);
-    /** Run several same-profile queries as one batched sweep. */
-    void startBatch(const std::vector<std::uint64_t> &seqs,
-                    double nowMs);
+    /**
+     * Plan @p seqs (one profile) on one worker slot: plan() for a lone
+     * query, one planBatch() sweep for several. Schedules the
+     * completion event.
+     */
+    void dispatch(const std::vector<std::uint64_t> &seqs, double nowMs);
     void onCompletion(const Event &event);
-    void onBatchCompletion(const Event &event);
 
     void countResponse(const Response &response);
 
@@ -201,10 +216,10 @@ class PlanningService
     Planner planner_;
     CircuitBreaker breaker_;
     common::TokenBucket bucket_;
-    ResultCache cache_;
+    common::LruCache<std::string, Response> cache_;
     SingleFlight flight_;
 
-    // Event loop state (runScript).
+    // Event loop state.
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         events_;
     std::uint64_t nextOrder_ = 0;
@@ -214,7 +229,7 @@ class PlanningService
     int busyWorkers_ = 0;
     std::vector<std::string> transcript_;
 
-    // Counters / logs shared by both transports.
+    // Counters / logs.
     std::vector<Response> log_;
     std::vector<double> latencies_; //!< terminal plan responses, ms
     ServiceStats counters_;         //!< event counts (derived fields
@@ -235,7 +250,10 @@ class PlanningService
 /**
  * Serve the line protocol on TCP port @p port until @p maxRequests
  * lines have been answered (0 = forever). One connection at a time,
- * one response line per request line. @return requests served.
+ * one response line per request line, each answered through
+ * PlanningService::answerLine(). A line longer than kMaxLineBytes is
+ * answered bad_request and closes its connection. @return requests
+ * served.
  */
 std::uint64_t serveTcp(PlanningService &service, int port,
                        std::uint64_t maxRequests = 0);

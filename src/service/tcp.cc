@@ -3,11 +3,13 @@
  * Real TCP loop behind the planning service (DESIGN.md §14).
  *
  * Deliberately minimal: one connection at a time, blocking reads,
- * line-buffered. Every line is answered synchronously through
- * PlanningService::handleLineNow with a monotonic wall-derived clock,
- * so the TCP path shares the cache, token bucket, circuit breaker and
- * budgeted planner with the deterministic in-process transport — only
- * the queue/dedup machinery (which needs virtual time) is bypassed.
+ * line-buffered. Every line is posted through
+ * PlanningService::answerLine at a monotonic wall-derived clock, so a
+ * socket client goes through the same event loop and admission
+ * pipeline as a script; one line at a time is in flight, so it never
+ * queues. A line is buffered up to kMaxLineBytes: past that, it is
+ * answered bad_request and the connection is dropped, since the
+ * stream cannot be resynchronised without reading it to the end.
  */
 
 #include <chrono>
@@ -31,8 +33,8 @@ sendAll(int fd, const std::string &data)
 {
     std::size_t sent = 0;
     while (sent < data.size()) {
-        const ssize_t n =
-            ::send(fd, data.data() + sent, data.size() - sent, 0);
+        const ssize_t n = ::send(fd, data.data() + sent,
+                                 data.size() - sent, MSG_NOSIGNAL);
         if (n <= 0)
             return; // peer went away; drop the rest
         sent += static_cast<std::size_t>(n);
@@ -74,33 +76,40 @@ serveTcp(PlanningService &service, int port, std::uint64_t maxRequests)
     };
 
     std::uint64_t served = 0;
-    while (maxRequests == 0 || served < maxRequests) {
+    const auto done = [&] {
+        return maxRequests != 0 && served >= maxRequests;
+    };
+    while (!done()) {
         const int conn = ::accept(listener, nullptr, nullptr);
         if (conn < 0)
             continue;
+        const auto answer = [&](const std::string &line) {
+            for (const std::string &reply :
+                 service.answerLine(line, nowMs()))
+                sendAll(conn, reply + "\n");
+            ++served;
+        };
         std::string buffer;
         char chunk[4096];
-        for (;;) {
+        while (!done()) {
             const ssize_t n = ::recv(conn, chunk, sizeof(chunk), 0);
             if (n <= 0)
                 break;
             buffer.append(chunk, static_cast<std::size_t>(n));
             std::size_t eol;
-            while ((eol = buffer.find('\n')) != std::string::npos) {
+            while (!done() &&
+                   (eol = buffer.find('\n')) != std::string::npos) {
                 std::string line = buffer.substr(0, eol);
                 buffer.erase(0, eol + 1);
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
-                if (line.empty())
-                    continue;
-                sendAll(conn,
-                        service.handleLineNow(line, nowMs()) + "\n");
-                ++served;
-                if (maxRequests != 0 && served >= maxRequests)
-                    break;
+                if (!line.empty())
+                    answer(line);
             }
-            if (maxRequests != 0 && served >= maxRequests)
+            if (!done() && buffer.size() > kMaxLineBytes) {
+                answer(buffer); // the parser rejects it: bad_request
                 break;
+            }
         }
         ::close(conn);
     }

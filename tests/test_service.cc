@@ -4,13 +4,22 @@
  * parsing, the circuit breaker state machine, deadline budgets, and
  * the deterministic virtual-time service loop's robustness behaviors
  * (cache/dedup, load shedding, degradation, retries, breaker
- * fallback, transcript determinism).
+ * fallback, transcript determinism), and the loopback TCP transport.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +112,11 @@ TEST(Protocol, RejectsMalformedLines)
         Request::parseLine("{\"id\":\"a\",\"workload\":\"x\"} junk"),
         FatalError);
     EXPECT_THROW(Request::parseLine("{\"cmd\":\"reboot\"}"),
+                 FatalError);
+    // Over the line cap, though it would parse without it.
+    EXPECT_THROW(Request::parseLine("{\"cmd\":\"stats\"}" +
+                                    std::string(service::kMaxLineBytes,
+                                                ' ')),
                  FatalError);
     // Constraint/mode mismatches.
     EXPECT_THROW(Request::parseLine("{\"id\":\"a\",\"workload\":"
@@ -628,6 +642,233 @@ TEST(Batching, MemberBudgetsAreEnforcedIndividually)
     EXPECT_GT(poor.cellsDone, 0);
     EXPECT_LT(poor.cellsDone, poor.cellsTotal);
     EXPECT_LT(poor.cellsDone, rich.cellsDone);
+}
+
+// --------------------------------------------------------- TCP transport
+
+namespace {
+
+/** A free loopback port: bind port 0, read the choice back, release. */
+int
+freeLoopbackPort()
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return 0;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    const bool ok =
+        ::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) ==
+            0 &&
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) == 0;
+    ::close(fd);
+    return ok ? ntohs(addr.sin_port) : 0;
+}
+
+/** One client connection. Its receive timeout turns a server hang
+ *  into a test failure instead of a blocked test run. */
+class TcpClient
+{
+  public:
+    explicit TcpClient(int port)
+    {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(static_cast<std::uint16_t>(port));
+        const timeval timeout{120, 0};
+        // The server thread may not be listening yet: retry for ~5 s.
+        for (int attempt = 0; attempt < 500 && fd_ < 0; ++attempt) {
+            fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+            ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout));
+            if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                          sizeof(addr)) != 0) {
+                ::close(fd_);
+                fd_ = -1;
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            }
+        }
+    }
+    ~TcpClient()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    TcpClient(const TcpClient &) = delete;
+    TcpClient &operator=(const TcpClient &) = delete;
+
+    bool connected() const { return fd_ >= 0; }
+
+    void
+    send(const std::string &data)
+    {
+        for (std::size_t sent = 0; sent < data.size();) {
+            const ssize_t n = ::send(fd_, data.data() + sent,
+                                     data.size() - sent, MSG_NOSIGNAL);
+            if (n <= 0)
+                return;
+            sent += static_cast<std::size_t>(n);
+        }
+    }
+
+    /** The next response line, or "" on end of stream or timeout. */
+    std::string
+    readLine()
+    {
+        std::size_t eol;
+        while ((eol = buffer_.find('\n')) == std::string::npos) {
+            char chunk[4096];
+            const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+            if (n <= 0)
+                return "";
+            buffer_.append(chunk, static_cast<std::size_t>(n));
+        }
+        std::string line = buffer_.substr(0, eol);
+        buffer_.erase(0, eol + 1);
+        return line;
+    }
+
+    /** True when the server closed the stream with nothing unread. */
+    bool
+    closedByServer()
+    {
+        char byte = 0;
+        return buffer_.empty() && ::recv(fd_, &byte, 1, 0) == 0;
+    }
+
+  private:
+    int fd_ = -1;
+    std::string buffer_;
+};
+
+/** serveTcp on @p port, on its own thread, until it has answered
+ *  @p maxRequests lines. */
+class LoopbackServer
+{
+  public:
+    LoopbackServer(PlanningService &svc, int port,
+                   std::uint64_t maxRequests)
+        : port_(port), maxRequests_(maxRequests),
+          served_(std::async(std::launch::async, [&svc, port, maxRequests] {
+              return service::serveTcp(svc, port, maxRequests);
+          }))
+    {
+    }
+    ~LoopbackServer() { unblock(); }
+    LoopbackServer(const LoopbackServer &) = delete;
+    LoopbackServer &operator=(const LoopbackServer &) = delete;
+
+    /** Wait for serveTcp to return; @return the lines it answered. */
+    std::uint64_t
+    join()
+    {
+        unblock();
+        return served_.get();
+    }
+
+  private:
+    /** A failed test may leave lines unsent: after a grace period,
+     *  send them, so serveTcp returns and its thread can be joined. */
+    void
+    unblock()
+    {
+        if (!served_.valid() || served_.wait_for(std::chrono::seconds(
+                                    10)) == std::future_status::ready)
+            return;
+        TcpClient filler(port_);
+        for (std::uint64_t i = 0; i < maxRequests_; ++i)
+            filler.send("{\"cmd\":\"health\"}\n");
+    }
+
+    int port_;
+    std::uint64_t maxRequests_;
+    std::future<std::uint64_t> served_;
+};
+
+/** @p line with its clock-derived fields (t_ms, breaker_*_ms) blanked. */
+std::string
+withoutClock(std::string line)
+{
+    for (const std::string key :
+         {"\"t_ms\":", "\"breaker_closed_ms\":", "\"breaker_open_ms\":",
+          "\"breaker_half_open_ms\":"}) {
+        const std::size_t at = line.find(key);
+        if (at == std::string::npos)
+            continue;
+        const std::size_t from = at + key.size();
+        line.replace(from, line.find_first_of(",}", from) - from, "_");
+    }
+    return line;
+}
+
+} // namespace
+
+TEST(ServiceTcp, AnswersMatchTheEventLoopButForClockFields)
+{
+    const std::vector<std::string> lines = {
+        "{\"id\":\"cold\",\"workload\":\"lr-small\"}",
+        "{\"id\":\"again\",\"workload\":\"lr-small\"}",
+        "this is not json",
+        "{\"cmd\":\"stats\"}",
+    };
+    PlanningService reference(testConfig());
+    std::vector<std::string> want;
+    for (const std::string &line : lines) {
+        const std::vector<std::string> out = reference.answerLine(line, 0.0);
+        ASSERT_EQ(out.size(), 1u) << line;
+        want.push_back(out.front());
+    }
+
+    const int port = freeLoopbackPort();
+    ASSERT_NE(port, 0);
+    PlanningService svc(testConfig());
+    LoopbackServer server(svc, port, lines.size());
+    {
+        TcpClient client(port);
+        ASSERT_TRUE(client.connected());
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            client.send(lines[i] + "\n");
+            EXPECT_EQ(withoutClock(client.readLine()),
+                      withoutClock(want[i]))
+                << lines[i];
+        }
+    }
+    EXPECT_EQ(server.join(), lines.size());
+    const std::vector<Response> &log = svc.responseLog();
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log[0].cacheOutcome, "miss");
+    EXPECT_EQ(log[1].cacheOutcome, "hit");
+    EXPECT_EQ(log[2].reason, "bad_request");
+}
+
+TEST(ServiceTcp, OversizeLineIsRejectedAndClosesOnlyItsConnection)
+{
+    const int port = freeLoopbackPort();
+    ASSERT_NE(port, 0);
+    PlanningService svc(testConfig());
+    LoopbackServer server(svc, port, 2);
+    {
+        TcpClient hostile(port);
+        ASSERT_TRUE(hostile.connected());
+        // One byte past the cap, no newline. The server reads every
+        // byte before it answers, so its close is a clean end of
+        // stream rather than a reset.
+        hostile.send(std::string(service::kMaxLineBytes + 1, 'x'));
+        EXPECT_NE(hostile.readLine().find("\"reason\":\"bad_request\""),
+                  std::string::npos);
+        EXPECT_TRUE(hostile.closedByServer());
+    }
+    {
+        TcpClient next(port);
+        ASSERT_TRUE(next.connected());
+        next.send("{\"cmd\":\"health\"}\n");
+        EXPECT_NE(next.readLine().find("\"status\":\"healthy\""),
+                  std::string::npos);
+    }
+    EXPECT_EQ(server.join(), 2u);
 }
 
 // ----------------------------------------------------------- model store

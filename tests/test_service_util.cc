@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the planning service's admission primitives: the LRU
- * cache (common/lru_cache.h) and the token bucket
- * (common/token_bucket.h), plus the sharded result cache and
- * single-flight registry built on them (src/service/cache.h).
+ * cache (common/lru_cache.h), the token bucket
+ * (common/token_bucket.h) and the single-flight registry
+ * (src/service/cache.h).
  */
 
 #include <string>
@@ -130,32 +130,6 @@ TEST(TokenBucket, BackwardsTimeMintsNoTokens)
     // A clock that jumps backwards must not refill.
     EXPECT_FALSE(bucket.tryAcquire(0.0));
     EXPECT_TRUE(bucket.tryAcquire(11.0));
-}
-
-TEST(ResultCache, ShardsArePinnedByFnv1aNotStdHash)
-{
-    // FNV-1a is fixed by definition; pin a value so a hash change
-    // (which would silently reorder transcripts) fails loudly.
-    EXPECT_EQ(service::ResultCache::fnv1a(""),
-              14695981039346656037ULL);
-    EXPECT_EQ(service::ResultCache::fnv1a("a"),
-              12638187200555641996ULL);
-}
-
-TEST(ResultCache, AggregatesAcrossShards)
-{
-    service::ResultCache cache(4, 2);
-    EXPECT_EQ(cache.get("missing"), nullptr);
-    service::Response response;
-    response.id = "r1";
-    response.status = "ok";
-    cache.put("k1", response);
-    const service::Response *hit = cache.get("k1");
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->id, "r1");
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SingleFlight, LeaderThenFollowersThenFinish)

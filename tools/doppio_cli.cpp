@@ -832,10 +832,8 @@ cmdServe(const Args &args)
     config.workers = args.intValue("--service-workers", 2, 1, 1024);
     config.defaultTimeoutMs =
         args.doubleValue("--timeout-ms", 20000.0, 1.0, 1e12);
-    config.cacheShards = static_cast<std::size_t>(
-        args.intValue("--cache-shards", 4, 1, 64));
-    config.cacheShardCapacity = static_cast<std::size_t>(
-        args.intValue("--cache-cap", 64, 1, 100000));
+    config.cacheCapacity = static_cast<std::size_t>(
+        args.intValue("--cache-cap", 256, 1, 100000));
 
     const std::string scriptPath = args.value("--script", "");
     const std::string transcriptPath = args.value("--transcript", "");
@@ -932,8 +930,7 @@ usage()
            "--timeout-ms T\n"
            "                --queue-cap N --reject-new "
            "--service-workers N\n"
-           "                --rate R --burst B --cache-cap N "
-           "--cache-shards N\n"
+           "                --rate R --burst B --cache-cap N\n"
            "                --ms-per-sim-sec F --cell-cost-ms F "
            "--no-validate\n"
            "                --eval-fail-rate F --max-retries N "
