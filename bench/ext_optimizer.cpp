@@ -40,18 +40,15 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "cloud/gcp_disk.h"
 #include "cloud/optimizer.h"
+#include "cloud/profiling.h"
 #include "common/table_printer.h"
-#include "model/profiler.h"
 #include "service/server.h"
 #include "workloads/gatk4.h"
 
 using namespace doppio;
 
 namespace {
-
-constexpr Bytes kGB = 1000ULL * 1000 * 1000;
 
 struct Result
 {
@@ -66,30 +63,6 @@ wallSeconds(const std::chrono::steady_clock::time_point &start)
 {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double>(elapsed).count();
-}
-
-/** Fit the GATK4 model the same way `doppio optimize` does. */
-model::AppModel
-fitGatk4()
-{
-    const workloads::Gatk4 gatk4;
-    cluster::ClusterConfig config;
-    config.numSlaves = 10;
-    config.node.cores = 16;
-    config.node.hdfsDisk = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 1000 * kGB);
-    config.node.localDisk = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 2000 * kGB);
-    model::Profiler::Options options;
-    options.fitGc = true;
-    options.highCores = 16;
-    options.ssd = cloud::makeCloudDiskParams(cloud::CloudDiskType::Ssd,
-                                             500 * kGB);
-    options.hdd = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 500 * kGB);
-    model::Profiler profiler(gatk4.runner(), config, spark::SparkConf{},
-                             options);
-    return profiler.fit("GATK4");
 }
 
 /** The two figure grids the constrained searches sweep. */
@@ -409,7 +382,9 @@ main(int argc, char **argv)
             json_path = argv[i + 1];
     }
 
-    const model::AppModel app = fitGatk4();
+    // The GATK4 model `doppio optimize` fits.
+    const workloads::Gatk4 gatk4;
+    const model::AppModel app = cloud::fitOnCloud(gatk4.runner(), "GATK4");
 
     std::vector<Result> results;
     int violations = constrainedScenario(app, smoke, results);

@@ -13,10 +13,13 @@
 
 #include <iostream>
 
-#include "cloud_util.h"
+#include "bench_util.h"
+#include "cloud/optimizer.h"
+#include "cloud/profiling.h"
+#include "workloads/gatk4.h"
 
 using namespace doppio;
-using bench::kGB;
+using cloud::kGB;
 
 int
 main(int argc, char **argv)
@@ -34,7 +37,8 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     const workloads::Gatk4 gatk4;
-    const model::AppModel app = bench::fitCloudGatk4(gatk4);
+    const model::AppModel app =
+        cloud::fitOnCloud(gatk4.runner(), "GATK4-cloud");
     cloud::CostOptimizer::Options options;
     options.localTypes = {cloud::CloudDiskType::Standard};
     options.jobs = bench::benchJobs(argc, argv);

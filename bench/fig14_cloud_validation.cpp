@@ -11,16 +11,20 @@
 
 #include <iostream>
 
-#include "cloud_util.h"
+#include "bench_util.h"
+#include "cloud/optimizer.h"
+#include "cloud/profiling.h"
+#include "workloads/gatk4.h"
 
 using namespace doppio;
-using bench::kGB;
+using cloud::kGB;
 
 int
 main(int argc, char **argv)
 {
     const workloads::Gatk4 gatk4;
-    const model::AppModel app = bench::fitCloudGatk4(gatk4);
+    const model::AppModel app =
+        cloud::fitOnCloud(gatk4.runner(), "GATK4-cloud");
     cloud::CostOptimizer::Options options;
     options.jobs = bench::benchJobs(argc, argv);
     const cloud::CostOptimizer optimizer(app, cloud::GcpPricing{},
@@ -35,7 +39,7 @@ main(int argc, char **argv)
     const std::vector<bench::ExpModelRow> rows =
         runner.map(sizes.size(), [&](std::size_t i) {
             const Bytes gb = sizes[i];
-            cluster::ClusterConfig config = bench::cloudCluster();
+            cluster::ClusterConfig config = cloud::cloudWorkers(10);
             config.node.localDisk = cloud::makeCloudDiskParams(
                 cloud::CloudDiskType::Standard, gb * kGB);
             spark::SparkConf conf;

@@ -9,16 +9,20 @@
 
 #include <iostream>
 
-#include "cloud_util.h"
+#include "bench_util.h"
+#include "cloud/optimizer.h"
+#include "cloud/profiling.h"
+#include "workloads/gatk4.h"
 
 using namespace doppio;
-using bench::kGB;
+using cloud::kGB;
 
 int
 main(int argc, char **argv)
 {
     const workloads::Gatk4 gatk4;
-    const model::AppModel app = bench::fitCloudGatk4(gatk4);
+    const model::AppModel app =
+        cloud::fitOnCloud(gatk4.runner(), "GATK4-cloud");
     const cloud::GcpPricing pricing;
     cloud::CostOptimizer::Options options;
     options.jobs = bench::benchJobs(argc, argv);

@@ -33,13 +33,16 @@
 #include <string>
 #include <vector>
 
-#include "cloud_util.h"
+#include "bench_util.h"
+#include "cloud/optimizer.h"
+#include "cloud/profiling.h"
 #include "sim/fluid_pipe.h"
 #include "sim/simulator.h"
+#include "workloads/gatk4.h"
 #include "workloads/terasort.h"
 
 using namespace doppio;
-using bench::kGB;
+using cloud::kGB;
 
 namespace {
 
@@ -247,7 +250,8 @@ main(int argc, char **argv)
     // Fit once; both optimizer legs share the model but not the
     // fio-table cache.
     const workloads::Gatk4 gatk4;
-    const model::AppModel app = bench::fitCloudGatk4(gatk4);
+    const model::AppModel app =
+        cloud::fitOnCloud(gatk4.runner(), "GATK4-cloud");
     results.push_back(
         optimizerGrid(app, smoke, 1, "optimizer_grid_jobs1"));
     results.push_back(optimizerGrid(app, smoke, jobs,

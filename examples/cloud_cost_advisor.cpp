@@ -12,50 +12,19 @@
 #include <iostream>
 
 #include "cloud/optimizer.h"
+#include "cloud/profiling.h"
 #include "common/table_printer.h"
-#include "model/profiler.h"
 #include "workloads/gatk4.h"
 
 using namespace doppio;
-
-namespace {
-
-constexpr Bytes kGB = 1000ULL * 1000 * 1000;
-
-cluster::ClusterConfig
-cloudWorkers()
-{
-    cluster::ClusterConfig config;
-    config.numSlaves = 10;
-    config.node.cores = 16;
-    config.node.ram = 60 * kGiB;
-    config.node.executorMemory = 45 * kGiB;
-    config.node.hdfsDisk = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 1000 * kGB);
-    config.node.localDisk = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 2000 * kGB);
-    return config;
-}
-
-} // namespace
 
 int
 main()
 {
     const workloads::Gatk4 gatk4;
-
-    // Paper §VI-1: four profiling runs with a 500 GB pd-ssd and a
-    // pd-standard sample disk, plus the different-N GC run.
-    model::Profiler::Options profile_options;
-    profile_options.fitGc = true;
-    profile_options.highCores = 16;
-    profile_options.ssd = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Ssd, 500 * kGB);
-    profile_options.hdd = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 500 * kGB);
-    model::Profiler profiler(gatk4.runner(), cloudWorkers(),
-                             spark::SparkConf{}, profile_options);
-    const model::AppModel app = profiler.fit("GATK4");
+    // Paper §VI-1: four profiling runs on cloud sample disks plus the
+    // different-N GC run.
+    const model::AppModel app = cloud::fitOnCloud(gatk4.runner(), "GATK4");
 
     const cloud::GcpPricing pricing;
     const cloud::CostOptimizer optimizer(
@@ -70,31 +39,13 @@ main()
                   TablePrinter::num(cheapest.seconds / 60.0, 1),
                   TablePrinter::num(cheapest.cost, 2)});
 
-    // Cheapest under a 45-minute deadline: filter the same grid.
-    cloud::Evaluation deadline;
-    deadline.cost = std::numeric_limits<double>::infinity();
-    for (Bytes hdfs : cloud::CostOptimizer::defaultSizeGrid()) {
-        for (Bytes local : cloud::CostOptimizer::defaultSizeGrid()) {
-            for (auto type : {cloud::CloudDiskType::Standard,
-                              cloud::CloudDiskType::Ssd}) {
-                cloud::CloudConfig config;
-                config.workers = 10;
-                config.vcpus = 16;
-                config.hdfsSize = hdfs;
-                config.localType = type;
-                config.localSize = local;
-                const cloud::Evaluation eval =
-                    optimizer.evaluate(config);
-                if (eval.seconds <= 45.0 * 60.0 &&
-                    eval.cost < deadline.cost)
-                    deadline = eval;
-            }
-        }
-    }
-    table.addRow({"cheapest finishing in 45 min",
-                  deadline.config.describe(),
-                  TablePrinter::num(deadline.seconds / 60.0, 1),
-                  TablePrinter::num(deadline.cost, 2)});
+    const cloud::ConstrainedResult deadline = optimizer.optimizeConstrained(
+        cloud::Constraint::cheapestUnderDeadline(45 * 60));
+    if (deadline.feasible)
+        table.addRow({"cheapest finishing in 45 min",
+                      deadline.best.config.describe(),
+                      TablePrinter::num(deadline.best.seconds / 60.0, 1),
+                      TablePrinter::num(deadline.best.cost, 2)});
 
     for (const auto &[name, config] :
          {std::pair<const char *, cloud::CloudConfig>{

@@ -113,29 +113,9 @@ runChaosRig(const ChaosOptions &options, const faults::FaultSpec *spec,
         sim.run();
 
         result.metrics = context.metrics();
-        if (injector != nullptr) {
-            // Same app-level fold workloads::Workload::run performs:
-            // stage counters plus the HDFS/network/page-cache tallies
-            // that accrue outside any one stage.
-            result.metrics.faultsPresent = true;
-            for (const spark::StageMetrics *stage :
-                 result.metrics.allStages())
-                result.metrics.faults += stage->faults;
-            result.metrics.faults.hdfsFailovers +=
-                hdfs.readFailovers();
-            result.metrics.faults.corruptReads += hdfs.corruptReads();
-            result.metrics.faults.quarantinedBytes +=
-                hdfs.quarantinedBytes();
-            result.metrics.faults.partitionTimeouts +=
-                static_cast<std::uint64_t>(
-                    cluster.network().partitionTimeouts());
-            result.metrics.faults.reReplicatedBytes +=
-                hdfs.reReplicatedBytes();
-            result.metrics.faults.recoverySeconds +=
-                hdfs.reReplicationSeconds();
-            result.metrics.faults.lostDirtyBytes +=
-                cluster.lostDirtyBytes();
-        }
+        if (injector != nullptr)
+            result.metrics.faults = spark::foldRunFaults(
+                {&result.metrics, 1}, cluster, hdfs);
         result.json = spark::metricsJson(result.metrics);
         result.elapsedSec = result.metrics.seconds();
         result.firedEvents = sim.firedEvents();

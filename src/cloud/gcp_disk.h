@@ -24,6 +24,9 @@
 
 namespace doppio::cloud {
 
+/** Decimal gigabyte: GCP provisions and prices disks in GB. */
+constexpr Bytes kGB = 1000ULL * 1000 * 1000;
+
 /** GCP persistent disk families. */
 enum class CloudDiskType { Standard, Ssd };
 

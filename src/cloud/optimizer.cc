@@ -110,6 +110,26 @@ selectBest(const std::vector<Evaluation> &evals,
     return best;
 }
 
+std::vector<Evaluation>
+paretoFrontier(std::vector<Evaluation> evals)
+{
+    std::sort(evals.begin(), evals.end(),
+              [](const Evaluation &a, const Evaluation &b) {
+                  if (a.seconds != b.seconds)
+                      return a.seconds < b.seconds;
+                  return a.cost < b.cost;
+              });
+    std::vector<Evaluation> frontier;
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (const Evaluation &eval : evals) {
+        if (eval.cost < best_cost) {
+            frontier.push_back(eval);
+            best_cost = eval.cost;
+        }
+    }
+    return frontier;
+}
+
 CostOptimizer::CostOptimizer(model::AppModel appModel, GcpPricing pricing,
                              Options options)
     : app_(std::move(appModel)), pricing_(pricing),

@@ -114,6 +114,13 @@ struct ConstrainedResult
 const Evaluation *selectBest(const std::vector<Evaluation> &evals,
                              const Constraint &constraint);
 
+/**
+ * @return the runtime/cost Pareto frontier of @p evals, sorted by
+ * runtime, each entry strictly cheaper than the one before: no
+ * evaluation is both faster and cheaper than an entry.
+ */
+std::vector<Evaluation> paretoFrontier(std::vector<Evaluation> evals);
+
 /** Searches cloud configurations using a fitted application model. */
 class CostOptimizer
 {
@@ -270,8 +277,7 @@ class CostOptimizer
     model::AppModel app_;
     GcpPricing pricing_;
     Options options_;
-    // Behind unique_ptrs so the optimizer stays movable (Advisor
-    // takes one by value).
+    // Behind unique_ptrs so the optimizer stays movable.
     mutable std::unique_ptr<std::mutex> tableCacheMutex_ =
         std::make_unique<std::mutex>();
     mutable std::map<std::pair<int, Bytes>,

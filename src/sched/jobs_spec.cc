@@ -1,7 +1,10 @@
 #include "sched/jobs_spec.h"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -38,26 +41,54 @@ keyValue(const std::string &token, std::string &key, std::string &value)
     return true;
 }
 
+/** Limits far beyond any real spec. They keep every arrival tick
+ *  (start plus batches / rate, Poisson gaps included) inside the
+ *  nanosecond clock and bound the input a stream registers up
+ *  front. */
+constexpr double kMaxStartSec = 1e7;
+constexpr double kMinRatePerSec = 1e-4;
+constexpr int kMaxBatches = 10000;
+constexpr double kMaxBatchMib = 16384;
+constexpr double kNoCap = std::numeric_limits<double>::infinity();
+
+/** Parse a finite number in [@p lo, @p hi]; fatal() otherwise. */
 double
-parseNumber(const std::string &value, int lineNo, const char *what)
+parseNumber(const std::string &value, int lineNo, const char *what,
+            double lo, double hi)
 {
     char *end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0' || value.empty())
-        fatal("jobs-spec line %d: %s: not a number: '%s'", lineNo,
+    if (value.empty() || *end != '\0' || !std::isfinite(v))
+        fatal("jobs-spec line %d: %s: not a finite number: '%s'", lineNo,
               what, value.c_str());
+    if (v < lo || v > hi)
+        fatal("jobs-spec line %d: %s must be in [%g, %g], got '%s'",
+              lineNo, what, lo, hi, value.c_str());
     return v;
 }
 
-int
-parseInt(const std::string &value, int lineNo, const char *what)
+/** Parse a finite number in (0, @p hi]; fatal() otherwise. */
+double
+parsePositive(const std::string &value, int lineNo, const char *what,
+              double hi)
 {
-    const double v = parseNumber(value, lineNo, what);
-    const int i = static_cast<int>(v);
-    if (static_cast<double>(i) != v)
+    const double v = parseNumber(value, lineNo, what, -kNoCap, kNoCap);
+    if (v <= 0.0 || v > hi)
+        fatal("jobs-spec line %d: %s must be in (0, %g], got '%s'",
+              lineNo, what, hi, value.c_str());
+    return v;
+}
+
+/** Parse an integer in [@p lo, @p hi]; fatal() otherwise. */
+int
+parseInt(const std::string &value, int lineNo, const char *what, int lo,
+         int hi)
+{
+    const double v = parseNumber(value, lineNo, what, lo, hi);
+    if (v != std::floor(v))
         fatal("jobs-spec line %d: %s: not an integer: '%s'", lineNo,
               what, value.c_str());
-    return i;
+    return static_cast<int>(v);
 }
 
 } // namespace
@@ -97,9 +128,11 @@ MultiJobSpec::parse(const std::string &text)
                     fatal("jobs-spec line %d: unexpected token '%s'",
                           lineNo, tokens[i].c_str());
                 if (key == "weight")
-                    pool.weight = parseNumber(value, lineNo, "weight");
+                    pool.weight =
+                        parsePositive(value, lineNo, "weight", kNoCap);
                 else if (key == "minshare")
-                    pool.minShare = parseInt(value, lineNo, "minshare");
+                    pool.minShare = parseInt(value, lineNo, "minshare", 0,
+                                             INT_MAX);
                 else
                     fatal("jobs-spec line %d: unknown pool option "
                           "'%s'",
@@ -131,42 +164,38 @@ MultiJobSpec::parse(const std::string &text)
                     tenant.pool = value;
                 } else if (key == "start") {
                     tenant.startSec =
-                        parseNumber(value, lineNo, "start");
+                        parseNumber(value, lineNo, "start", 0.0,
+                                    kMaxStartSec);
                 } else if (tenant.kind == TenantSpec::Kind::Stream &&
                            key == "rate") {
-                    tenant.stream.ratePerSec =
-                        parseNumber(value, lineNo, "rate");
+                    tenant.stream.ratePerSec = parseNumber(
+                        value, lineNo, "rate", kMinRatePerSec, kNoCap);
                 } else if (tenant.kind == TenantSpec::Kind::Stream &&
                            key == "batches") {
                     tenant.stream.batches =
-                        parseInt(value, lineNo, "batches");
+                        parseInt(value, lineNo, "batches", 1, kMaxBatches);
                 } else if (tenant.kind == TenantSpec::Kind::Stream &&
                            key == "backlog") {
                     tenant.stream.maxBacklog =
-                        parseInt(value, lineNo, "backlog");
+                        parseInt(value, lineNo, "backlog", 1, INT_MAX);
                 } else if (tenant.kind == TenantSpec::Kind::Stream &&
                            key == "slo") {
                     tenant.stream.sloSeconds =
-                        parseNumber(value, lineNo, "slo");
+                        parseNumber(value, lineNo, "slo", 0.0, kNoCap);
                 } else if (tenant.kind == TenantSpec::Kind::Stream &&
                            key == "batch-mib") {
-                    tenant.batchBytes = mib(
-                        parseNumber(value, lineNo, "batch-mib"));
+                    tenant.batchBytes = mib(parsePositive(
+                        value, lineNo, "batch-mib", kMaxBatchMib));
                 } else if (tenant.kind == TenantSpec::Kind::Stream &&
                            key == "checkpoint") {
-                    tenant.stream.checkpointIntervalSec =
-                        parseNumber(value, lineNo, "checkpoint");
-                    if (tenant.stream.checkpointIntervalSec < 0.0)
-                        fatal("jobs-spec line %d: checkpoint must be "
-                              ">= 0 (0 = recover by full replay)",
-                              lineNo);
+                    // 0 = recover by full replay.
+                    tenant.stream.checkpointIntervalSec = parseNumber(
+                        value, lineNo, "checkpoint", 0.0, kNoCap);
                 } else {
                     fatal("jobs-spec line %d: unknown %s option '%s'",
                           lineNo, directive.c_str(), key.c_str());
                 }
             }
-            if (tenant.startSec < 0.0)
-                fatal("jobs-spec line %d: start must be >= 0", lineNo);
             spec.tenants.push_back(std::move(tenant));
             continue;
         }

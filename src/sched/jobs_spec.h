@@ -15,6 +15,11 @@
  * tenant from a streaming template ("lr" or "agg"). `start=T` delays
  * the tenant's first submission by T simulated seconds. Tenants are
  * admitted in file order, which is also the FIFO order inside pools.
+ *
+ * Values must be finite and are range-checked at parse time: start in
+ * [0, 1e7], weight > 0, minshare >= 0, rate >= 1e-4, batches in
+ * [1, 10000], backlog >= 1, slo >= 0, batch-mib in (0, 16384] and
+ * checkpoint >= 0.
  */
 
 #ifndef DOPPIO_SCHED_JOBS_SPEC_H

@@ -75,7 +75,7 @@ Planner::Planner(PlannerConfig config)
 std::vector<Bytes>
 Planner::coarseSizeGrid()
 {
-    constexpr Bytes kGB = 1000ULL * 1000 * 1000;
+    using cloud::kGB;
     return {100 * kGB,  250 * kGB,  500 * kGB,
             1000 * kGB, 2000 * kGB, 4000 * kGB};
 }

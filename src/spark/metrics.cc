@@ -1,5 +1,8 @@
 #include "spark/metrics.h"
 
+#include "cluster/cluster.h"
+#include "dfs/hdfs.h"
+
 namespace doppio::spark {
 
 bool
@@ -109,6 +112,28 @@ AppMetrics::bytesForPrefix(const std::string &prefix,
             total += stage->forOp(op).bytes;
     }
     return total;
+}
+
+FaultMetrics
+foldRunFaults(std::span<AppMetrics> apps, const cluster::Cluster &cluster,
+              const dfs::Hdfs &hdfs)
+{
+    FaultMetrics run;
+    for (AppMetrics &app : apps) {
+        app.faultsPresent = true;
+        for (const StageMetrics *stage : app.allStages())
+            app.faults += stage->faults;
+        run += app.faults;
+    }
+    run.hdfsFailovers += hdfs.readFailovers();
+    run.corruptReads += hdfs.corruptReads();
+    run.quarantinedBytes += hdfs.quarantinedBytes();
+    run.partitionTimeouts += static_cast<std::uint64_t>(
+        cluster.network().partitionTimeouts());
+    run.reReplicatedBytes += hdfs.reReplicatedBytes();
+    run.recoverySeconds += hdfs.reReplicationSeconds();
+    run.lostDirtyBytes += cluster.lostDirtyBytes();
+    return run;
 }
 
 } // namespace doppio::spark

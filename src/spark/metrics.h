@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,14 @@
 #include "common/units.h"
 #include "oscache/page_cache.h"
 #include "storage/io_request.h"
+
+namespace doppio::cluster {
+class Cluster;
+}
+
+namespace doppio::dfs {
+class Hdfs;
+}
 
 namespace doppio::spark {
 
@@ -262,6 +271,18 @@ struct AppMetrics
     Bytes bytesForPrefix(const std::string &prefix,
                          storage::IoOp op) const;
 };
+
+/**
+ * The end-of-run fault fold every run driver shares. Adds each of
+ * @p apps' stage counters to its app-level faults and marks them
+ * present, then @return their sum plus the counters that accrue
+ * outside any one stage: HDFS failovers, corrupt reads, quarantined
+ * bytes, partition timeouts, re-replicated bytes, re-replication
+ * seconds and lost dirty page-cache bytes.
+ */
+FaultMetrics foldRunFaults(std::span<AppMetrics> apps,
+                           const cluster::Cluster &cluster,
+                           const dfs::Hdfs &hdfs);
 
 } // namespace doppio::spark
 

@@ -500,22 +500,17 @@ TaskEngine::effectiveCores() const
     return std::min(conf_.executorCores, cluster_.config().node.cores);
 }
 
-StageMetrics
-TaskEngine::runStage(const StageSpec &spec)
+std::shared_ptr<TaskEngine::StageRun>
+TaskEngine::startRun(const StageSpec &spec)
 {
-    if (arbiter_ != nullptr)
-        fatal("TaskEngine: runStage is the single-job entry point; "
-              "with a core arbiter attached use submitStage");
-    sim::Simulator &sim = cluster_.simulator();
     auto run = std::make_shared<StageRun>();
     run->spec = spec;
     run->metrics.name = spec.name;
     run->metrics.numTasks = spec.numTasks();
-    run->metrics.startTick = sim.now();
+    run->metrics.startTick = cluster_.simulator().now();
     run->rng = rng_.fork();
-    const int cores = effectiveCores();
-    run->gcFactor =
-        1.0 + spec.gcSensitivity * static_cast<double>(cores - 1);
+    run->gcFactor = 1.0 + spec.gcSensitivity *
+                              static_cast<double>(effectiveCores() - 1);
 
     for (const TaskGroupSpec &group : run->spec.groups) {
         if (group.count < 0)
@@ -524,18 +519,8 @@ TaskEngine::runStage(const StageSpec &spec)
         for (int i = 0; i < group.count; ++i)
             run->tasks.emplace_back(&group, i);
     }
-    // An empty stage (all groups zero tasks) is complete as soon as it
-    // starts: return valid empty metrics without arming the
-    // speculation timer, which would otherwise tick once and advance
-    // the clock for no work.
-    if (run->tasks.empty()) {
-        run->metrics.endTick = sim.now();
-        if (collector_ != nullptr)
-            collector_->span(trace::kDriverPid, trace::kTidStages,
-                             "stage", spec.name, run->metrics.startTick,
-                             run->metrics.endTick);
-        return run->metrics;
-    }
+    if (run->tasks.empty())
+        return run;
     run->states.resize(run->tasks.size());
     for (StageRun::TaskState &state : run->states)
         state.readyTick = run->metrics.startTick;
@@ -543,13 +528,51 @@ TaskEngine::runStage(const StageSpec &spec)
         static_cast<std::size_t>(cluster_.numSlaves()), 0);
     run->shuffleSources = cluster_.aliveNodes();
     activeRuns_.push_back(run);
+    return run;
+}
+
+void
+TaskEngine::closeRun(StageRun &run)
+{
+    run.metrics.endTick = cluster_.simulator().now();
+    const bool aborted = run.fetchFailedSource >= 0;
+    if (aborted)
+        run.metrics.fetchFailedSource = run.fetchFailedSource;
+    if (collector_ == nullptr)
+        return;
+    trace::TraceArgs args;
+    if (aborted)
+        args.add("aborted", 1);
+    else if (!run.tasks.empty() || run.onDone)
+        args.add("tasks", run.metrics.numTasks);
+    collector_->span(trace::kDriverPid, run.driverTid, "stage",
+                     run.metrics.name, run.metrics.startTick,
+                     run.metrics.endTick, args);
+}
+
+StageMetrics
+TaskEngine::runStage(const StageSpec &spec)
+{
+    if (arbiter_ != nullptr)
+        fatal("TaskEngine: runStage is the single-job entry point; "
+              "with a core arbiter attached use submitStage");
+    sim::Simulator &sim = cluster_.simulator();
+    const std::shared_ptr<StageRun> run = startRun(spec);
+    // An empty stage (all groups zero tasks) is complete as soon as it
+    // starts: return valid empty metrics without arming the
+    // speculation timer, which would otherwise tick once and advance
+    // the clock for no work.
+    if (run->tasks.empty()) {
+        closeRun(*run);
+        return run->metrics;
+    }
     if (conf_.speculation)
         armSpeculationTimer(run);
 
     // Fill executor cores round-robin across nodes (Spark's spread-out
     // placement) so small stages do not pile onto one node's disks;
     // the rest of the queue drains as tasks finish.
-    for (int c = 0; c < cores; ++c) {
+    for (int c = 0; c < effectiveCores(); ++c) {
         for (int node = 0; node < cluster_.numSlaves(); ++node)
             launchOnFreeCore(run, node);
     }
@@ -577,32 +600,20 @@ TaskEngine::runStage(const StageSpec &spec)
         panic("TaskEngine: stage %s finished with its speculation "
               "timer still armed",
               spec.name.c_str());
-    if (run->fetchFailedSource >= 0) {
-        // Aborted on a FetchFailure: hand the partial metrics to the
-        // scheduler, which recomputes the lost map outputs and reruns
-        // the remainder (see SparkContext::runJob).
-        run->metrics.fetchFailedSource = run->fetchFailedSource;
-        run->metrics.endTick = sim.now();
-        if (collector_ != nullptr)
-            collector_->span(trace::kDriverPid, trace::kTidStages,
-                             "stage", spec.name, run->metrics.startTick,
-                             run->metrics.endTick,
-                             trace::TraceArgs().add("aborted", 1));
-        return run->metrics;
+    // A stage aborted on a FetchFailure returns its partial metrics:
+    // the scheduler recomputes the lost map outputs and reruns the
+    // remainder (see SparkContext::runJob).
+    if (run->fetchFailedSource < 0) {
+        if (run->completed != run->metrics.numTasks)
+            panic("TaskEngine: stage %s finished with %d/%d tasks",
+                  spec.name.c_str(), run->completed,
+                  run->metrics.numTasks);
+        if (run->outstandingWrites != 0)
+            panic("TaskEngine: stage %s finished with %d undrained "
+                  "writes",
+                  spec.name.c_str(), run->outstandingWrites);
     }
-    if (run->completed != run->metrics.numTasks)
-        panic("TaskEngine: stage %s finished with %d/%d tasks",
-              spec.name.c_str(), run->completed, run->metrics.numTasks);
-    if (run->outstandingWrites != 0)
-        panic("TaskEngine: stage %s finished with %d undrained writes",
-              spec.name.c_str(), run->outstandingWrites);
-    run->metrics.endTick = sim.now();
-    if (collector_ != nullptr)
-        collector_->span(trace::kDriverPid, trace::kTidStages, "stage",
-                         spec.name, run->metrics.startTick,
-                         run->metrics.endTick,
-                         trace::TraceArgs().add(
-                             "tasks", run->metrics.numTasks));
+    closeRun(*run);
     return run->metrics;
 }
 
@@ -1391,41 +1402,17 @@ TaskEngine::submitStage(const StageSpec &spec, int schedTag,
     if (conf_.speculation)
         fatal("TaskEngine: speculative execution is not supported "
               "under a core arbiter (multi-tenant mode)");
-    sim::Simulator &sim = cluster_.simulator();
-    auto run = std::make_shared<StageRun>();
-    run->spec = spec;
-    run->metrics.name = spec.name;
-    run->metrics.numTasks = spec.numTasks();
-    run->metrics.startTick = sim.now();
-    run->rng = rng_.fork();
-    run->gcFactor = 1.0 + spec.gcSensitivity *
-                              static_cast<double>(effectiveCores() - 1);
+    const std::shared_ptr<StageRun> run = startRun(spec);
     run->schedTag = schedTag;
     run->driverTid = driverTid;
     run->onDone = std::move(onDone);
-
-    for (const TaskGroupSpec &group : run->spec.groups) {
-        if (group.count < 0)
-            fatal("TaskEngine: negative task count in group %s",
-                  group.name.c_str());
-        for (int i = 0; i < group.count; ++i)
-            run->tasks.emplace_back(&group, i);
-    }
-    if (run->tasks.empty()) {
-        // Complete on the next event so the callback never fires
-        // before submitStage returns to the caller.
-        sim.schedule(0, [this, run]() { maybeFinishAsync(run); });
-        return run;
-    }
-    run->states.resize(run->tasks.size());
-    for (StageRun::TaskState &state : run->states)
-        state.readyTick = run->metrics.startTick;
-    run->busyCores.assign(
-        static_cast<std::size_t>(cluster_.numSlaves()), 0);
-    run->shuffleSources = cluster_.aliveNodes();
-    activeRuns_.push_back(run);
-    // No initial fill here: the caller offers cores through the
-    // arbiter once the submission is registered.
+    // Complete an empty stage on the next event so the callback never
+    // fires before submitStage returns to the caller. Otherwise no
+    // initial fill here: the caller offers cores through the arbiter
+    // once the submission is registered.
+    if (run->tasks.empty())
+        cluster_.simulator().schedule(
+            0, [this, run]() { maybeFinishAsync(run); });
     return run;
 }
 
@@ -1439,19 +1426,7 @@ TaskEngine::maybeFinishAsync(const std::shared_ptr<StageRun> &run)
                      run->outstandingWrites != 0))
         return;
     deregisterRun(run.get());
-    run->metrics.endTick = cluster_.simulator().now();
-    if (aborted)
-        run->metrics.fetchFailedSource = run->fetchFailedSource;
-    if (collector_ != nullptr) {
-        trace::TraceArgs args;
-        if (aborted)
-            args.add("aborted", 1);
-        else
-            args.add("tasks", run->metrics.numTasks);
-        collector_->span(trace::kDriverPid, run->driverTid, "stage",
-                         run->metrics.name, run->metrics.startTick,
-                         run->metrics.endTick, args);
-    }
+    closeRun(*run);
     // Null the callback before invoking it: completions re-entering
     // through zombie unwinds or write drains must not fire it twice.
     const StageCallback done = std::move(run->onDone);

@@ -225,6 +225,20 @@ class TaskEngine
     void noteWriteDrained(const std::shared_ptr<StageRun> &run);
 
     /**
+     * Set up the run of @p spec at the current tick (forking the
+     * engine RNG once per stage) and register it in activeRuns_. An
+     * empty stage gets no task state and is not registered.
+     */
+    std::shared_ptr<StageRun> startRun(const StageSpec &spec);
+
+    /**
+     * End @p run at the current tick: end tick, fetch-failure source
+     * and the driver's stage-window span. The span carries "aborted"
+     * or "tasks", except for an empty runStage() stage.
+     */
+    void closeRun(StageRun &run);
+
+    /**
      * Fire a submitted stage's completion callback if it is complete
      * (or aborted on a fetch failure). No-op for runStage() stages
      * and while work is still outstanding.

@@ -153,13 +153,6 @@ runMultiTenant(const sched::MultiJobSpec &spec,
                 summary.maxRecoverySec = stream.maxRecoverySec;
             }
         }
-        if (injector != nullptr) {
-            metrics.faultsPresent = true;
-            for (const spark::StageMetrics *stage :
-                 metrics.allStages())
-                metrics.faults += stage->faults;
-            result.faults += metrics.faults;
-        }
         result.tenants.push_back(std::move(metrics));
     }
     if (cluster.pageCacheEnabled()) {
@@ -172,14 +165,7 @@ runMultiTenant(const sched::MultiJobSpec &spec,
     }
     if (injector != nullptr) {
         result.faultsPresent = true;
-        result.faults.hdfsFailovers += hdfs.readFailovers();
-        result.faults.corruptReads += hdfs.corruptReads();
-        result.faults.quarantinedBytes += hdfs.quarantinedBytes();
-        result.faults.partitionTimeouts += static_cast<std::uint64_t>(
-            cluster.network().partitionTimeouts());
-        result.faults.reReplicatedBytes += hdfs.reReplicatedBytes();
-        result.faults.recoverySeconds += hdfs.reReplicationSeconds();
-        result.faults.lostDirtyBytes += cluster.lostDirtyBytes();
+        result.faults = spark::foldRunFaults(result.tenants, cluster, hdfs);
     }
     if (registry != nullptr) {
         // Per-tenant application metrics stay out: publishAppMetrics

@@ -234,19 +234,8 @@ Streaming::run(const cluster::ClusterConfig &clusterConfig,
         metrics.memoryPresent = true;
         metrics.memory = scheduler.blockManager().memoryMetrics();
     }
-    if (injector != nullptr) {
-        metrics.faultsPresent = true;
-        for (const spark::StageMetrics *stage : metrics.allStages())
-            metrics.faults += stage->faults;
-        metrics.faults.hdfsFailovers += hdfs.readFailovers();
-        metrics.faults.corruptReads += hdfs.corruptReads();
-        metrics.faults.quarantinedBytes += hdfs.quarantinedBytes();
-        metrics.faults.partitionTimeouts += static_cast<std::uint64_t>(
-            cluster.network().partitionTimeouts());
-        metrics.faults.reReplicatedBytes += hdfs.reReplicatedBytes();
-        metrics.faults.recoverySeconds += hdfs.reReplicationSeconds();
-        metrics.faults.lostDirtyBytes += cluster.lostDirtyBytes();
-    }
+    if (injector != nullptr)
+        metrics.faults = spark::foldRunFaults({&metrics, 1}, cluster, hdfs);
     if (registry != nullptr) {
         telemetry::publishAppMetrics(*registry, metrics);
         telemetry::publishCluster(*registry, cluster);

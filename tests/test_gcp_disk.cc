@@ -11,8 +11,6 @@
 namespace doppio::cloud {
 namespace {
 
-constexpr Bytes kGB = 1000ULL * 1000 * 1000;
-
 TEST(GcpDisk, TypeNames)
 {
     EXPECT_STREQ(cloudDiskTypeName(CloudDiskType::Standard),

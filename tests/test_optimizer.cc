@@ -12,8 +12,6 @@
 namespace doppio::cloud {
 namespace {
 
-constexpr Bytes kGB = 1000ULL * 1000 * 1000;
-
 /**
  * A hand-built app model resembling GATK4's profile: a GC-ish compute
  * stage with a large shuffle write, and a shuffle-read-dominated
@@ -399,8 +397,113 @@ TEST(Constrained, InvalidConstraintsFatal)
         opt.optimizeConstrained(Constraint::fastestUnderBudget(-1.0)),
         FatalError);
     EXPECT_THROW(
+        opt.optimizeConstrained(Constraint::fastestUnderBudget(0.0)),
+        FatalError);
+    EXPECT_THROW(
         opt.optimizeExhaustive(Constraint::cheapestUnderDeadline(0.0)),
         FatalError);
+}
+
+/** An I/O-bound single-stage app where bigger local disks help. */
+model::AppModel
+diskBoundApp()
+{
+    model::AppModel app;
+    app.name = "diskBound";
+    model::StageModel stage;
+    stage.name = "shuffle";
+    stage.tasks = 5000;
+    stage.tAvg = 2.0;
+    model::IoComponent read;
+    read.op = storage::IoOp::ShuffleRead;
+    read.bytes = static_cast<Bytes>(300) * kGB;
+    read.requestSize = 30000.0;
+    stage.io.push_back(read);
+    app.stages.push_back(stage);
+    return app;
+}
+
+/**
+ * The advisor's questions, asked of optimizeConstrained and
+ * paretoFrontier: the cheapest configuration under a deadline, the
+ * fastest under a budget, and the cost/runtime frontier that
+ * `doppio optimize` prints.
+ */
+CostOptimizer
+makeAdvisorOptimizer()
+{
+    CostOptimizer::Options options;
+    options.sizeGrid = {200 * kGB, 500 * kGB, 1000 * kGB, 2000 * kGB};
+    return CostOptimizer(diskBoundApp(), GcpPricing{}, options);
+}
+
+TEST(Advisor, CheapestUnderDeadlineSatisfiesIt)
+{
+    const CostOptimizer optimizer = makeAdvisorOptimizer();
+    const double deadline = 30.0 * 60.0;
+    const ConstrainedResult result = optimizer.optimizeConstrained(
+        Constraint::cheapestUnderDeadline(deadline));
+    ASSERT_TRUE(result.feasible);
+    EXPECT_LE(result.best.seconds, deadline);
+    // Not cheaper than the unconstrained optimum.
+    EXPECT_GE(result.best.cost, optimizer.optimize().cost - 1e-9);
+}
+
+TEST(Advisor, TighterDeadlineCostsMore)
+{
+    const CostOptimizer optimizer = makeAdvisorOptimizer();
+    const Evaluation cheapest = optimizer.optimize();
+    const double fastest =
+        optimizer.optimizeConstrained(Constraint::fastestUnderBudget(1e9))
+            .best.seconds;
+    // Tighten the deadline from the optimum's runtime to the fastest
+    // cell's: each answer meets it and costs no less than the answer
+    // to a looser deadline.
+    double looserCost = cheapest.cost;
+    for (const double f : {1.0, 0.75, 0.5, 0.25, 0.0}) {
+        const double deadline =
+            fastest + f * (cheapest.seconds - fastest);
+        const ConstrainedResult result = optimizer.optimizeConstrained(
+            Constraint::cheapestUnderDeadline(deadline));
+        ASSERT_TRUE(result.feasible) << "deadline " << deadline;
+        EXPECT_LE(result.best.seconds, deadline);
+        EXPECT_GE(result.best.cost, looserCost - 1e-9);
+        looserCost = result.best.cost;
+    }
+}
+
+TEST(Advisor, FastestUnderBudgetSatisfiesIt)
+{
+    const CostOptimizer optimizer = makeAdvisorOptimizer();
+    const double budget = optimizer.optimize().cost * 2.0;
+    const ConstrainedResult result =
+        optimizer.optimizeConstrained(Constraint::fastestUnderBudget(budget));
+    ASSERT_TRUE(result.feasible);
+    EXPECT_LE(result.best.cost, budget);
+}
+
+TEST(Advisor, ParetoFrontierIsMonotone)
+{
+    const CostOptimizer optimizer = makeAdvisorOptimizer();
+    const std::vector<Evaluation> frontier =
+        paretoFrontier(optimizer.evaluateAll(optimizer.candidateGrid()));
+    ASSERT_FALSE(frontier.empty());
+    for (std::size_t i = 1; i < frontier.size(); ++i) {
+        // Sorted by runtime ascending; cost strictly decreasing.
+        EXPECT_GE(frontier[i].seconds, frontier[i - 1].seconds);
+        EXPECT_LT(frontier[i].cost, frontier[i - 1].cost);
+    }
+}
+
+TEST(Advisor, FrontierContainsOptimum)
+{
+    const CostOptimizer optimizer = makeAdvisorOptimizer();
+    const Evaluation best = optimizer.optimize();
+    const std::vector<Evaluation> frontier =
+        paretoFrontier(optimizer.evaluateAll(optimizer.candidateGrid()));
+    ASSERT_FALSE(frontier.empty());
+    // The cheapest point is the frontier's last entry.
+    EXPECT_NEAR(frontier.back().cost, best.cost, 1e-9);
 }
 
 TEST(Memo, RepeatedCellsAreServedFromTheMemo)

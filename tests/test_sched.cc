@@ -237,12 +237,45 @@ TEST(JobsSpec, RejectsMalformedInput)
 {
     EXPECT_THROW(MultiJobSpec::parse("frob x"), FatalError);
     EXPECT_THROW(MultiJobSpec::parse("pool p sorta"), FatalError);
-    EXPECT_THROW(MultiJobSpec::parse("pool p fair weight=0"),
-                 FatalError);
     EXPECT_THROW(MultiJobSpec::parse("job lr-small rate=1"),
                  FatalError);
     // A spec with no tenants has nothing to run.
     EXPECT_THROW(MultiJobSpec::parse("pool p fair\n"), FatalError);
+
+    // Non-finite and out-of-range values fail at parse time and name
+    // their line (line 2 here) instead of reaching a cast or the run.
+    for (const char *line : {
+             "job lr-small start=nan",
+             "job lr-small start=-1",
+             "job lr-small start=1e30",
+             "pool q fair weight=nan",
+             "pool q fair weight=0",
+             "pool q fair minshare=-1",
+             "pool q fair minshare=3000000000",
+             "stream lr batch-mib=1e30",
+             "stream lr batch-mib=-5",
+             "stream lr batch-mib=0",
+             "stream lr rate=inf",
+             "stream lr rate=0",
+             "stream lr batches=200000000 rate=1",
+             "stream lr batches=3000000000",
+             "stream lr batches=0",
+             "stream lr backlog=0",
+             "stream lr slo=-1",
+             "stream lr checkpoint=nan",
+         }) {
+        const std::string text =
+            std::string("job lr-small pool=q\n") + line + "\n" +
+            "job lr-small pool=q\n";
+        try {
+            MultiJobSpec::parse(text);
+            ADD_FAILURE() << "accepted: " << line;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 2:"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ------------------------------------------------ sweep byte-identity

@@ -66,7 +66,8 @@
 #include <string>
 #include <vector>
 
-#include "cloud/advisor.h"
+#include "cloud/optimizer.h"
+#include "cloud/profiling.h"
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "common/units.h"
@@ -716,34 +717,13 @@ cmdOptimize(const Args &args)
     args.rejectUnknown("optimize");
     if (deadlineMin > 0.0 && budgetUsd > 0.0)
         fatal("optimize: give at most one of --deadline / --budget");
-    constexpr Bytes kGB = 1000ULL * 1000 * 1000;
-
-    cluster::ClusterConfig config;
-    config.numSlaves = workers;
-    config.node.cores = 16;
-    config.node.hdfsDisk = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 1000 * kGB);
-    config.node.localDisk = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 2000 * kGB);
-
-    model::Profiler::Options options;
-    options.fitGc = true;
-    options.highCores = 16;
-    options.ssd =
-        cloud::makeCloudDiskParams(cloud::CloudDiskType::Ssd,
-                                   500 * kGB);
-    options.hdd = cloud::makeCloudDiskParams(
-        cloud::CloudDiskType::Standard, 500 * kGB);
-    model::Profiler profiler(gatk4.runner(), config,
-                             spark::SparkConf{}, options);
-    const model::AppModel app = profiler.fit("GATK4");
 
     cloud::CostOptimizer::Options search;
     search.workers = workers;
     search.jobs = jobs;
-    const cloud::CostOptimizer optimizer(app, cloud::GcpPricing{},
-                                         search);
-    const cloud::Advisor advisor(optimizer);
+    const cloud::CostOptimizer optimizer(
+        cloud::fitOnCloud(gatk4.runner(), "GATK4"), cloud::GcpPricing{},
+        search);
 
     if (deadlineMin > 0.0 || budgetUsd > 0.0) {
         const cloud::Constraint constraint =
@@ -783,7 +763,8 @@ cmdOptimize(const Args &args)
 
     TablePrinter table("Runtime/cost Pareto frontier");
     table.setHeader({"configuration", "runtime (min)", "cost ($)"});
-    for (const cloud::Evaluation &eval : advisor.paretoFrontier()) {
+    for (const cloud::Evaluation &eval : cloud::paretoFrontier(
+             optimizer.evaluateAll(optimizer.candidateGrid()))) {
         table.addRow({eval.config.describe(),
                       TablePrinter::num(eval.seconds / 60.0, 1),
                       TablePrinter::num(eval.cost, 2)});
