@@ -87,7 +87,7 @@ Planner::resolveWorkers(const Request &req) const
 }
 
 std::string
-Planner::entryKey(const Request &req) const
+Planner::profileKey(const Request &req) const
 {
     return req.workload + "|w" + std::to_string(resolveWorkers(req));
 }
@@ -95,7 +95,7 @@ Planner::entryKey(const Request &req) const
 bool
 Planner::hasModel(const Request &req) const
 {
-    return cache_.peek(entryKey(req)) != nullptr;
+    return cache_.peek(profileKey(req)) != nullptr;
 }
 
 spark::AppMetrics
@@ -147,8 +147,8 @@ Planner::runBudgeted(const workloads::Workload &workload,
     }
 }
 
-Planner::Entry
-Planner::buildEntry(const Request &req, DeadlineBudget &budget)
+cloud::CostOptimizer
+Planner::buildOptimizer(const Request &req, DeadlineBudget &budget)
 {
     const auto workload = workloads::makeWorkload(req.workload);
 
@@ -203,380 +203,208 @@ Planner::buildEntry(const Request &req, DeadlineBudget &budget)
     search.sizeGrid =
         config_.sizeGrid.empty() ? coarseSizeGrid() : config_.sizeGrid;
     search.jobs = config_.sweepJobs;
-    cloud::CostOptimizer optimizer(app, cloud::GcpPricing{},
-                                   std::move(search));
-    return Entry{std::move(app), std::move(optimizer)};
+    return cloud::CostOptimizer(std::move(app), cloud::GcpPricing{},
+                                std::move(search));
 }
 
-PlanResult
-Planner::plan(const Request &req, DeadlineBudget &budget,
-              bool allowSlowPath)
+Planner::Outcome
+Planner::plan(const std::vector<Request> &reqs,
+              std::vector<DeadlineBudget> &budgets, bool allowSlowPath)
 {
-    deadlineHit_ = false;
-    slowPathFailed_ = false;
-    reqRetries_ = 0;
-    reqBackoffMs_ = 0.0;
-    reqSlowPathMs_ = 0.0;
+    if (reqs.empty() || budgets.size() != reqs.size())
+        panic("Planner::plan: requests and budgets must align");
+    for (const Request &req : reqs)
+        if (profileKey(req) != profileKey(reqs[0]))
+            panic("Planner::plan: mixed profiles in one call");
 
-    PlanResult result;
-    Response &resp = result.response;
+    Outcome out;
+    out.responses.resize(reqs.size());
+    struct Member
+    {
+        const Request &req;
+        DeadlineBudget &budget;
+        Response &resp;
+        cloud::CloudConfig winner = {}; //!< set once selected
+        bool done = false;
 
-    Entry *entry = nullptr;
-    cloud::SearchStats searchBefore;
-
-    const auto finish = [&](const char *status, const char *reason) {
-        if (entry != nullptr) {
-            const cloud::SearchStats after =
-                entry->optimizer.searchStats();
-            totals_.cellsMemoHit += after.memoHits - searchBefore.memoHits;
-            totals_.cellsPruned +=
-                after.cellsPruned - searchBefore.cellsPruned;
+        void finish(const char *status, const char *reason)
+        {
+            resp.status = status;
+            resp.reason = reason;
+            done = true;
         }
-        resp.status = status;
-        resp.reason = reason;
-        resp.retries = reqRetries_;
-        resp.backoffMs = reqBackoffMs_;
-        result.slowPathMs = reqSlowPathMs_;
-        result.usedSlowPath = reqSlowPathMs_ > 0.0;
-        result.slowPathFailed = slowPathFailed_;
-        return result;
     };
+    std::vector<Member> members;
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        members.push_back({reqs[i], budgets[i], out.responses[i]});
 
-    // Model: cached, or profiled now (the slow path).
-    const std::string key = entryKey(req);
-    entry = cache_.get(key);
-    if (entry == nullptr) {
-        if (!allowSlowPath)
-            // The server sheds this case before calling plan(); keep
-            // the invariant anyway.
-            return finish("shed", "circuit_open");
-        try {
-            Entry built = buildEntry(req, budget);
-            cache_.put(key, std::move(built));
-            entry = cache_.get(key);
-        } catch (const FatalError &error) {
-            if (deadlineHit_) {
-                resp.degraded = true;
-                return finish("error", "deadline");
-            }
-            if (slowPathFailed_)
-                return finish("error", "slow_path_failed");
-            warn("planner: %s", error.what());
-            return finish("error", "internal");
-        }
-    }
-    searchBefore = entry->optimizer.searchStats();
-
-    // Grid search under the remaining budget: a partial prefix is a
-    // valid (degraded) answer — coverage shrinks, cells stay exact.
-    const std::vector<cloud::CloudConfig> grid =
-        entry->optimizer.candidateGrid();
-    const std::vector<cloud::Evaluation> evals =
-        entry->optimizer.evaluatePrefix(grid, [&]() -> bool {
-            if (budget.exhausted())
-                return false;
-            budget.charge(config_.cellCostMs);
-            return true;
-        });
-    resp.cellsTotal = static_cast<int>(grid.size());
-    resp.cellsDone = static_cast<int>(evals.size());
-    if (resp.cellsDone < resp.cellsTotal)
-        resp.degraded = true;
-    if (evals.empty()) {
-        resp.degraded = true;
-        return finish("error", "deadline");
-    }
-
-    // Constraint-mode selection over the evaluated cells.
-    const cloud::Evaluation *best =
-        cloud::selectBest(evals, constraintFor(req));
-    if (best == nullptr)
-        return finish("error", "infeasible");
-
-    resp.haveConfig = true;
-    resp.config = best->config.describe();
-    resp.costUsd = best->cost;
-    resp.runtimeSec = best->seconds;
-
-    // Validation: re-simulate the winner under the service's fault
-    // spec. Skipped (model-only) when disabled, the breaker is open,
-    // or the budget already ran out.
-    if (!config_.validate || !allowSlowPath || budget.exhausted()) {
-        resp.modelOnly = true;
-        if (budget.exhausted())
-            resp.degraded = true;
-        return finish("ok", "");
-    }
-    try {
-        const auto workload = workloads::makeWorkload(req.workload);
-        cluster::ClusterConfig cluster;
-        cluster.numSlaves = best->config.workers;
-        cluster.node.cores = best->config.vcpus;
-        cluster.node.hdfsDisk = cloud::makeCloudDiskParams(
-            best->config.hdfsType, best->config.hdfsSize);
-        cluster.node.localDisk = cloud::makeCloudDiskParams(
-            best->config.localType, best->config.localSize);
-        cluster.seed = config_.seed;
-        spark::SparkConf conf;
-        conf.executorCores = best->config.vcpus;
-        const spark::AppMetrics metrics =
-            runBudgeted(*workload, cluster, conf, budget);
-        resp.runtimeSec = metrics.seconds();
-        resp.costUsd = cloud::jobCost(
-            best->config, entry->optimizer.pricing(), resp.runtimeSec);
-    } catch (const FatalError &error) {
-        // The model answer stands; only its validation is missing.
-        resp.modelOnly = true;
-        resp.degraded = true;
-        if (!deadlineHit_ && !slowPathFailed_)
-            warn("planner: validation failed: %s", error.what());
-        return finish("ok", slowPathFailed_ ? "validation_failed" : "");
-    }
-    return finish("ok", "");
-}
-
-Planner::BatchOutcome
-Planner::planBatch(const std::vector<Request> &reqs,
-                   std::vector<DeadlineBudget> &budgets,
-                   bool allowSlowPath)
-{
-    const std::size_t n = reqs.size();
-    if (n == 0 || budgets.size() != n)
-        panic("planBatch: requests and budgets must align");
-    for (std::size_t i = 1; i < n; ++i) {
-        if (profileKey(reqs[i]) != profileKey(reqs[0]))
-            panic("planBatch: mixed profiles in one batch");
-    }
-
-    BatchOutcome out;
-    out.results.resize(n);
-    std::vector<char> done(n, 0);
-    std::vector<int> memberRetries(n, 0);
-    std::vector<double> memberBackoff(n, 0.0);
-
-    const auto finishMember = [&](std::size_t i, const char *status,
-                                  const char *reason) {
-        out.results[i].response.status = status;
-        out.results[i].response.reason = reason;
-        done[i] = 1;
-    };
-    const auto finalize = [&]() -> BatchOutcome & {
-        for (std::size_t i = 0; i < n; ++i) {
-            out.results[i].response.retries = memberRetries[i];
-            out.results[i].response.backoffMs = memberBackoff[i];
-        }
-        out.usedSlowPath = out.slowPathMs > 0.0;
-        return out;
-    };
-
-    // --- Model phase: at most one build for the whole batch. ---
-    deadlineHit_ = false;
-    slowPathFailed_ = false;
-    reqRetries_ = 0;
-    reqBackoffMs_ = 0.0;
-    reqSlowPathMs_ = 0.0;
-
-    const std::string key = entryKey(reqs[0]);
-    Entry *entry = cache_.get(key);
-    if (entry == nullptr) {
-        if (!allowSlowPath) {
-            for (std::size_t i = 0; i < n; ++i)
-                finishMember(i, "shed", "circuit_open");
-            return finalize();
-        }
-        double maxRemaining = 0.0;
-        for (const DeadlineBudget &budget : budgets)
-            maxRemaining = std::max(maxRemaining, budget.remainingMs());
-        if (maxRemaining <= 0.0) {
-            for (std::size_t i = 0; i < n; ++i) {
-                out.results[i].response.degraded = true;
-                finishMember(i, "error", "deadline");
-            }
-            return finalize();
-        }
-        // Build once under the richest member's remaining budget,
-        // then mirror the (clamped) charge into every member — each
-        // waiter pays at most what a solo build would have cost it.
-        DeadlineBudget shared(maxRemaining);
-        bool built = true;
-        const char *failReason = "internal";
-        try {
-            Entry fresh = buildEntry(reqs[0], shared);
-            cache_.put(key, std::move(fresh));
-            entry = cache_.get(key);
-        } catch (const FatalError &error) {
-            built = false;
-            if (deadlineHit_)
-                failReason = "deadline";
-            else if (slowPathFailed_)
-                failReason = "slow_path_failed";
-            else
-                warn("planner: %s", error.what());
-        }
-        out.occupancyMs += shared.spentMs();
-        out.slowPathMs += reqSlowPathMs_;
-        out.slowPathFailed = out.slowPathFailed || slowPathFailed_;
-        memberRetries[0] += reqRetries_;
-        memberBackoff[0] += reqBackoffMs_;
-        for (DeadlineBudget &budget : budgets)
-            budget.charge(shared.spentMs());
-        if (!built) {
-            for (std::size_t i = 0; i < n; ++i) {
-                if (deadlineHit_)
-                    out.results[i].response.degraded = true;
-                finishMember(i, "error", failReason);
-            }
-            return finalize();
-        }
-    }
-    const cloud::SearchStats searchBefore =
-        entry->optimizer.searchStats();
-
-    // --- Union sweep: one evaluation pass serves every waiter. ---
-    // Walk cells in canonical order charging every still-solvent
-    // member exactly as its solo keepGoing loop would; the union
-    // prefix is evaluated once (fanned across sweepJobs threads).
-    const std::vector<cloud::CloudConfig> grid =
-        entry->optimizer.candidateGrid();
-    std::vector<int> cellsDone(n, 0);
-    std::vector<char> active(n);
-    for (std::size_t i = 0; i < n; ++i)
-        active[i] = done[i] ? 0 : 1;
-    std::size_t sweepLen = 0;
-    for (std::size_t cell = 0; cell < grid.size(); ++cell) {
-        bool any = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!active[i])
-                continue;
-            if (budgets[i].exhausted()) {
-                active[i] = 0;
-                continue;
-            }
-            budgets[i].charge(config_.cellCostMs);
-            ++cellsDone[i];
-            any = true;
-        }
-        if (!any)
-            break;
-        sweepLen = cell + 1;
-    }
-    const std::vector<cloud::Evaluation> evals = entry->optimizer.evaluateAll(
-        std::vector<cloud::CloudConfig>(grid.begin(),
-                                        grid.begin() + sweepLen));
-    out.occupancyMs += static_cast<double>(sweepLen) * config_.cellCostMs;
-
-    // --- Per-member selection over each member's own prefix. ---
-    std::vector<cloud::Evaluation> bestOf(n);
-    std::vector<char> haveBest(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (done[i])
-            continue;
-        Response &resp = out.results[i].response;
-        resp.cellsTotal = static_cast<int>(grid.size());
-        resp.cellsDone = cellsDone[i];
-        if (resp.cellsDone < resp.cellsTotal)
-            resp.degraded = true;
-        if (cellsDone[i] == 0) {
-            resp.degraded = true;
-            finishMember(i, "error", "deadline");
-            continue;
-        }
-        const std::vector<cloud::Evaluation> prefix(
-            evals.begin(),
-            evals.begin() + static_cast<std::ptrdiff_t>(cellsDone[i]));
-        const cloud::Evaluation *best =
-            cloud::selectBest(prefix, constraintFor(reqs[i]));
-        if (best == nullptr) {
-            finishMember(i, "error", "infeasible");
-            continue;
-        }
-        bestOf[i] = *best;
-        haveBest[i] = 1;
-        resp.haveConfig = true;
-        resp.config = best->config.describe();
-        resp.costUsd = best->cost;
-        resp.runtimeSec = best->seconds;
-    }
-
-    // --- Validation, deduped by winning configuration. ---
-    std::vector<char> wantsValidation(n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        wantsValidation[i] = !done[i] && haveBest[i] && config_.validate &&
-                             allowSlowPath && !budgets[i].exhausted();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (done[i])
-            continue;
-        if (!wantsValidation[i]) {
-            Response &resp = out.results[i].response;
-            resp.modelOnly = true;
-            if (budgets[i].exhausted())
-                resp.degraded = true;
-            finishMember(i, "ok", "");
-            continue;
-        }
-        // Validate this winner once; every member that picked the
-        // same configuration shares the run and its budget charge.
-        std::vector<std::size_t> group;
-        for (std::size_t j = i; j < n; ++j) {
-            if (!done[j] && wantsValidation[j] &&
-                bestOf[j].config.describe() == bestOf[i].config.describe())
-                group.push_back(j);
-        }
-        double maxRemaining = 0.0;
-        for (const std::size_t j : group)
-            maxRemaining =
-                std::max(maxRemaining, budgets[j].remainingMs());
+    // Run one slow-path step for `group` under the richest member's
+    // remaining budget, then mirror the clamped charge into every
+    // member, so each pays at most what the step alone would cost it.
+    // The first member reports its retries and backoff. @return false
+    // when it did not complete: deadlineHit_ / slowPathFailed_ say why.
+    const auto runShared = [&](const std::vector<Member *> &group,
+                               const char *warnPrefix, const auto &step) {
         deadlineHit_ = false;
         slowPathFailed_ = false;
         reqRetries_ = 0;
         reqBackoffMs_ = 0.0;
         reqSlowPathMs_ = 0.0;
-        DeadlineBudget shared(maxRemaining);
+        double richest = 0.0;
+        for (const Member *m : group)
+            richest = std::max(richest, m->budget.remainingMs());
+        if (richest <= 0.0) { // every budget was already spent
+            deadlineHit_ = true;
+            return false;
+        }
+        DeadlineBudget shared(richest);
+        bool completed = true;
         try {
-            const auto workload = workloads::makeWorkload(reqs[i].workload);
-            cluster::ClusterConfig cluster;
-            cluster.numSlaves = bestOf[i].config.workers;
-            cluster.node.cores = bestOf[i].config.vcpus;
-            cluster.node.hdfsDisk = cloud::makeCloudDiskParams(
-                bestOf[i].config.hdfsType, bestOf[i].config.hdfsSize);
-            cluster.node.localDisk = cloud::makeCloudDiskParams(
-                bestOf[i].config.localType, bestOf[i].config.localSize);
-            cluster.seed = config_.seed;
-            spark::SparkConf conf;
-            conf.executorCores = bestOf[i].config.vcpus;
-            const spark::AppMetrics metrics =
-                runBudgeted(*workload, cluster, conf, shared);
-            const double runtime = metrics.seconds();
-            const double cost = cloud::jobCost(
-                bestOf[i].config, entry->optimizer.pricing(), runtime);
-            for (const std::size_t j : group) {
-                out.results[j].response.runtimeSec = runtime;
-                out.results[j].response.costUsd = cost;
-                finishMember(j, "ok", "");
-            }
+            step(shared);
         } catch (const FatalError &error) {
+            completed = false;
             if (!deadlineHit_ && !slowPathFailed_)
-                warn("planner: validation failed: %s", error.what());
-            for (const std::size_t j : group) {
-                out.results[j].response.modelOnly = true;
-                out.results[j].response.degraded = true;
-                finishMember(j, "ok",
-                             slowPathFailed_ ? "validation_failed" : "");
-            }
+                warn("planner: %s%s", warnPrefix, error.what());
         }
         out.occupancyMs += shared.spentMs();
         out.slowPathMs += reqSlowPathMs_;
         out.slowPathFailed = out.slowPathFailed || slowPathFailed_;
-        memberRetries[group.front()] += reqRetries_;
-        memberBackoff[group.front()] += reqBackoffMs_;
-        for (const std::size_t j : group)
-            budgets[j].charge(shared.spentMs());
+        group.front()->resp.retries += reqRetries_;
+        group.front()->resp.backoffMs += reqBackoffMs_;
+        for (Member *m : group)
+            m->budget.charge(shared.spentMs());
+        return completed;
+    };
+
+    // --- Model: cached, or built once for everyone (the slow path). ---
+    const std::string key = profileKey(reqs[0]);
+    cloud::CostOptimizer *optimizer = cache_.get(key);
+    if (optimizer == nullptr) {
+        if (!allowSlowPath) // the server sheds these before plan()
+            panic("Planner::plan: no model and the slow path is shut");
+        std::vector<Member *> everyone;
+        for (Member &m : members)
+            everyone.push_back(&m);
+        const bool built =
+            runShared(everyone, "", [&](DeadlineBudget &b) {
+                cache_.put(key, buildOptimizer(reqs[0], b));
+            });
+        if (!built) {
+            const char *reason = deadlineHit_      ? "deadline"
+                                 : slowPathFailed_ ? "slow_path_failed"
+                                                   : "internal";
+            for (Member &m : members) {
+                m.resp.degraded = deadlineHit_;
+                m.finish("error", reason);
+            }
+            return out;
+        }
+        optimizer = cache_.get(key);
+    }
+    const cloud::SearchStats searchBefore = optimizer->searchStats();
+
+    // --- Grid sweep: one evaluation pass serves every member. ---
+    // Walk the cells in canonical order, charging every still-solvent
+    // member per cell; a member whose budget runs out keeps the prefix
+    // it paid for. The worker is held for the clamped charges of the
+    // member that sweeps longest.
+    const std::vector<cloud::CloudConfig> grid = optimizer->candidateGrid();
+    std::size_t sweepLen = 0;
+    for (; sweepLen < grid.size(); ++sweepLen) {
+        double cellMs = 0.0;
+        for (Member &m : members) {
+            if (m.budget.exhausted())
+                continue;
+            cellMs = std::max(cellMs, m.budget.charge(config_.cellCostMs));
+            ++m.resp.cellsDone;
+        }
+        if (cellMs == 0.0) // no member left solvent
+            break;
+        out.occupancyMs += cellMs;
+    }
+    const std::vector<cloud::Evaluation> evals = optimizer->evaluateAll(
+        std::vector<cloud::CloudConfig>(grid.begin(),
+                                        grid.begin() + sweepLen));
+
+    // --- Per-member selection over each member's own prefix. ---
+    for (Member &m : members) {
+        m.resp.cellsTotal = static_cast<int>(grid.size());
+        m.resp.degraded = m.resp.cellsDone < m.resp.cellsTotal ||
+                          m.resp.cellsDone == 0;
+        if (m.resp.cellsDone == 0) {
+            m.finish("error", "deadline");
+            continue;
+        }
+        const std::vector<cloud::Evaluation> prefix(
+            evals.begin(), evals.begin() + m.resp.cellsDone);
+        const cloud::Evaluation *best =
+            cloud::selectBest(prefix, constraintFor(m.req));
+        if (best == nullptr) {
+            m.finish("error", "infeasible");
+            continue;
+        }
+        m.winner = best->config;
+        m.resp.haveConfig = true;
+        m.resp.config = best->config.describe();
+        m.resp.costUsd = best->cost;
+        m.resp.runtimeSec = best->seconds;
     }
 
-    const cloud::SearchStats after = entry->optimizer.searchStats();
+    // --- Validation: re-simulate each distinct winner once, under the
+    // service's fault spec. Skipped (model-only) when disabled, the
+    // breaker is open, or the member's budget already ran out. ---
+    for (Member &m : members) {
+        if (m.done)
+            continue;
+        if (!config_.validate || !allowSlowPath || m.budget.exhausted()) {
+            m.resp.modelOnly = true;
+            m.resp.degraded = m.resp.degraded || m.budget.exhausted();
+            m.finish("ok", "");
+            continue;
+        }
+        // Every member that picked the same configuration shares the
+        // run and its budget charge.
+        std::vector<Member *> group;
+        for (Member &other : members) {
+            if (!other.done && !other.budget.exhausted() &&
+                other.resp.config == m.resp.config)
+                group.push_back(&other);
+        }
+        double runtime = 0.0;
+        const bool validated =
+            runShared(group, "validation failed: ", [&](DeadlineBudget &b) {
+                const auto workload = workloads::makeWorkload(m.req.workload);
+                cluster::ClusterConfig cluster;
+                cluster.numSlaves = m.winner.workers;
+                cluster.node.cores = m.winner.vcpus;
+                cluster.node.hdfsDisk = cloud::makeCloudDiskParams(
+                    m.winner.hdfsType, m.winner.hdfsSize);
+                cluster.node.localDisk = cloud::makeCloudDiskParams(
+                    m.winner.localType, m.winner.localSize);
+                cluster.seed = config_.seed;
+                spark::SparkConf conf;
+                conf.executorCores = m.winner.vcpus;
+                runtime = runBudgeted(*workload, cluster, conf, b).seconds();
+            });
+        for (Member *g : group) {
+            if (validated) {
+                g->resp.runtimeSec = runtime;
+                g->resp.costUsd =
+                    cloud::jobCost(m.winner, optimizer->pricing(), runtime);
+            } else {
+                // The model answer stands; only its validation is
+                // missing.
+                g->resp.modelOnly = true;
+                g->resp.degraded = true;
+            }
+            g->finish("ok", slowPathFailed_ ? "validation_failed" : "");
+        }
+    }
+
+    const cloud::SearchStats after = optimizer->searchStats();
     totals_.cellsMemoHit += after.memoHits - searchBefore.memoHits;
     totals_.cellsPruned += after.cellsPruned - searchBefore.cellsPruned;
-    return finalize();
+    return out;
 }
 
 } // namespace doppio::service

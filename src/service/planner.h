@@ -2,17 +2,18 @@
  * @file
  * Deadline-budgeted what-if planner (DESIGN.md §14).
  *
- * Answers one plan query — "what cluster/disk configuration for
+ * Answers plan queries — "what cluster/disk configuration for
  * workload W under budget B or deadline D" — by running the paper's
  * pipeline (profile -> fit Eq. 1 -> grid search -> validate) under a
- * per-request deadline budget:
+ * per-request deadline budget. One call answers a list of queries
+ * sharing one profile; a lone query is a list of one (DESIGN.md §16):
  *
  *   - Profiling charges each sample run's simulated duration against
  *     the budget via Profiler::Options::onSample; an expired budget
  *     aborts the methodology between runs.
- *   - Grid evaluation charges a fixed virtual cost per cell through
- *     CostOptimizer::evaluatePrefix; an expired budget yields the
- *     completed prefix — a partial-but-valid answer flagged degraded.
+ *   - The grid sweep charges a fixed virtual cost per cell, in
+ *     canonical cell order; an expired budget yields the completed
+ *     prefix — a partial-but-valid answer flagged degraded.
  *   - Validation (re-simulating the winning configuration under the
  *     service's fault spec) is skipped when the budget ran out or the
  *     circuit breaker is open, flagging the answer model-only.
@@ -65,7 +66,6 @@ class DeadlineBudget
     bool exhausted() const { return spentMs_ >= totalMs_; }
     double spentMs() const { return spentMs_; }
     double remainingMs() const { return totalMs_ - spentMs_; }
-    double totalMs() const { return totalMs_; }
 
   private:
     double totalMs_;
@@ -113,23 +113,11 @@ struct PlannerConfig
      */
     std::string modelStorePath;
     /**
-     * Threads for the batched grid sweep (real CPU only — virtual
-     * cell accounting is unchanged, so transcripts stay byte-identical
-     * for any value). 1 = inline, 0 = one per hardware core.
+     * Threads for the grid sweep (real CPU only — virtual cell
+     * accounting is unchanged, so transcripts stay byte-identical for
+     * any value). 1 = inline, 0 = one per hardware core.
      */
     int sweepJobs = 1;
-};
-
-/** One plan() outcome: the wire response plus breaker-facing facts. */
-struct PlanResult
-{
-    /** id / t_ms / cache / latency_ms left for the server to fill. */
-    Response response;
-    bool usedSlowPath = false;
-    /** This request's total virtual slow-path cost (breaker EMA). */
-    double slowPathMs = 0.0;
-    /** Slow path gave up (retries exhausted) — a breaker failure. */
-    bool slowPathFailed = false;
 };
 
 /** Cumulative planner counters feeding ServiceStats. */
@@ -143,7 +131,7 @@ struct PlannerTotals
     std::uint64_t slowPathTaskRetries = 0;
     /** Optimizer evaluation-memo hits across all cached models. */
     std::uint64_t cellsMemoHit = 0;
-    /** Cells branch-and-bound pruned (CLI/advisor paths via entries). */
+    /** Cells branch-and-bound pruned across the cached optimizers. */
     std::uint64_t cellsPruned = 0;
     /** Profiling runs skipped via the persistent model store. */
     std::uint64_t modelStoreHits = 0;
@@ -163,57 +151,44 @@ class Planner
      */
     bool hasModel(const Request &req) const;
 
-    /**
-     * Answer @p req within @p budget. @p allowSlowPath false skips
-     * simulator validation (the answer is flagged model-only); the
-     * server passes false while the circuit breaker is open.
-     */
-    PlanResult plan(const Request &req, DeadlineBudget &budget,
-                    bool allowSlowPath);
-
-    /** Aggregate outcome of one coalesced batch (DESIGN.md §16). */
-    struct BatchOutcome
+    /** One plan() call's answers plus its breaker-facing facts. */
+    struct Outcome
     {
-        /** One result per request, aligned with the input order. */
-        std::vector<PlanResult> results;
+        /** One response per request, aligned with the input order;
+         *  id / t_ms / cache / latency_ms left for the server. */
+        std::vector<Response> responses;
         /**
-         * Virtual ms the worker slot is occupied: the shared work
-         * done once (model build + union sweep + deduped
+         * Virtual ms the worker slot is occupied: the work done once
+         * (model build + the longest member's sweep + deduped
          * validations), not the sum of per-member budget charges —
          * this is where coalescing wins.
          */
         double occupancyMs = 0.0;
-        // Breaker-facing aggregates for the whole batch.
-        bool usedSlowPath = false;
+        /** Total virtual slow-path cost (breaker EMA); 0 = unused. */
         double slowPathMs = 0.0;
+        /** Retries exhausted somewhere — a breaker failure. */
         bool slowPathFailed = false;
     };
 
     /**
-     * Answer several queries sharing one profile (same profileKey())
-     * with a single model build and a single union grid sweep. Each
-     * waiter's DeadlineBudget is still charged and clamped
-     * individually — per-member cell coverage, degraded flags and
-     * constraint selection are identical to what a solo plan() with
-     * the same remaining budget would produce; only the worker
-     * occupancy is shared.
+     * Answer @p reqs (one profileKey()), each within its own entry of
+     * @p budgets, with at most one model build, one grid sweep and one
+     * validation per distinct winner. Each budget is charged and
+     * clamped individually, so no member's answer depends on who else
+     * rides along. @p allowSlowPath false (breaker open; the model
+     * must be cached) skips validation, flagging answers model-only.
      */
-    BatchOutcome planBatch(const std::vector<Request> &reqs,
-                           std::vector<DeadlineBudget> &budgets,
-                           bool allowSlowPath);
+    Outcome plan(const std::vector<Request> &reqs,
+                 std::vector<DeadlineBudget> &budgets, bool allowSlowPath);
 
     /**
-     * The key two queries must share to ride one batched sweep: same
+     * The key queries must share to ride one plan() call: same
      * workload, same fleet size — i.e. the same fitted model and the
      * same candidate grid; only the constraint may differ.
      */
-    std::string profileKey(const Request &req) const
-    {
-        return entryKey(req);
-    }
+    std::string profileKey(const Request &req) const;
 
     const PlannerTotals &totals() const { return totals_; }
-    const PlannerConfig &config() const { return config_; }
 
     /**
      * Service-default disk-size grid: six half-decade points instead
@@ -223,14 +198,7 @@ class Planner
     static std::vector<Bytes> coarseSizeGrid();
 
   private:
-    struct Entry
-    {
-        model::AppModel app;
-        cloud::CostOptimizer optimizer;
-    };
-
     int resolveWorkers(const Request &req) const;
-    std::string entryKey(const Request &req) const;
 
     /**
      * One budgeted slow-path simulator run with retry/backoff around
@@ -243,18 +211,20 @@ class Planner
                                   DeadlineBudget &budget);
 
     /** Profile + fit + build the optimizer for @p req (slow path). */
-    Entry buildEntry(const Request &req, DeadlineBudget &budget);
+    cloud::CostOptimizer buildOptimizer(const Request &req,
+                                        DeadlineBudget &budget);
 
     PlannerConfig config_;
     Rng rng_;
-    common::LruCache<std::string, Entry> cache_;
+    common::LruCache<std::string, cloud::CostOptimizer> cache_;
     PlannerTotals totals_;
     /** Persistent fitted models (loaded/saved via modelStorePath). */
     std::map<std::string, model::AppModel> store_;
 
-    // Abort-cause flags for the current plan() call: everything below
-    // the planner surfaces as FatalError, so plan() discriminates
-    // deadline expiry from a dead slow path with its own flags.
+    // Abort-cause flags and counters for the current slow-path step:
+    // everything below the planner surfaces as FatalError, so plan()
+    // discriminates deadline expiry from a dead slow path with its own
+    // flags.
     bool deadlineHit_ = false;
     bool slowPathFailed_ = false;
     int reqRetries_ = 0;

@@ -291,8 +291,11 @@ void
 PlanningService::dispatch(const std::vector<std::uint64_t> &seqs,
                           double nowMs)
 {
-    // Per-member expiry screening; survivors share the worker slot.
+    // Per-member expiry screening; survivors share the worker slot,
+    // each with what is left of its own deadline budget.
     std::vector<std::uint64_t> live;
+    std::vector<Request> reqs;
+    std::vector<DeadlineBudget> budgets;
     for (const std::uint64_t seq : seqs) {
         const Pending &pending = pending_.at(seq);
         const double timeout = timeoutFor(pending.req);
@@ -303,6 +306,8 @@ PlanningService::dispatch(const std::vector<std::uint64_t> &seqs,
             continue;
         }
         live.push_back(seq);
+        reqs.push_back(pending.req);
+        budgets.emplace_back(timeout - waited);
     }
     if (live.empty())
         return;
@@ -316,32 +321,10 @@ PlanningService::dispatch(const std::vector<std::uint64_t> &seqs,
         return;
     }
 
-    std::vector<Request> reqs;
-    std::vector<DeadlineBudget> budgets;
-    reqs.reserve(live.size());
-    budgets.reserve(live.size());
-    for (const std::uint64_t seq : live) {
-        const Pending &pending = pending_.at(seq);
-        reqs.push_back(pending.req);
-        budgets.emplace_back(timeoutFor(pending.req) -
-                             (nowMs - pending.arrivalMs));
-    }
-
     Event done;
     done.kind = Event::Kind::Completion;
     done.coalesced = seqs.size() >= 2;
-    if (done.coalesced) {
-        done.outcome = planner_.planBatch(reqs, budgets, allowSlow);
-    } else {
-        // A lone query takes the solo planner, the reference the
-        // batched sweep is tested against.
-        PlanResult result = planner_.plan(reqs[0], budgets[0], allowSlow);
-        done.outcome.occupancyMs = budgets[0].spentMs();
-        done.outcome.usedSlowPath = result.usedSlowPath;
-        done.outcome.slowPathMs = result.slowPathMs;
-        done.outcome.slowPathFailed = result.slowPathFailed;
-        done.outcome.results.push_back(std::move(result));
-    }
+    done.outcome = planner_.plan(reqs, budgets, allowSlow);
     done.tMs = nowMs + done.outcome.occupancyMs;
     done.order = nextOrder_++;
     done.probeClaimed =
@@ -362,10 +345,10 @@ PlanningService::onCompletion(const Event &event)
     --busyWorkers_;
 
     // One worker slot, one breaker verdict for the whole dispatch.
-    const Planner::BatchOutcome &outcome = event.outcome;
+    const Planner::Outcome &outcome = event.outcome;
     if (outcome.slowPathFailed)
         breaker_.recordFailure(event.tMs);
-    else if (outcome.usedSlowPath)
+    else if (outcome.slowPathMs > 0.0)
         breaker_.recordSlowPath(outcome.slowPathMs, event.tMs);
     else if (event.probeClaimed)
         breaker_.releaseProbe();
@@ -377,7 +360,7 @@ PlanningService::onCompletion(const Event &event)
         const Pending pending = it->second;
         pending_.erase(it);
 
-        Response response = outcome.results[i].response;
+        Response response = outcome.responses[i];
         response.id = pending.req.id;
         response.tMs = event.tMs;
         response.latencyMs = event.tMs - pending.arrivalMs;

@@ -160,10 +160,10 @@ class PlanningService
         enum class Kind { Arrival, Completion } kind = Kind::Arrival;
         std::uint64_t seq = 0; //!< the arriving request
         // Completion payload: the dispatched requests in dispatch
-        // order, aligned with outcome.results. The outcome's
+        // order, aligned with outcome.responses. The outcome's
         // aggregates are the breaker verdict for the one worker slot.
         std::vector<std::uint64_t> members;
-        Planner::BatchOutcome outcome;
+        Planner::Outcome outcome;
         bool coalesced = false; //!< dispatched as a batch (width >= 2)
         bool probeClaimed = false;
 
@@ -203,8 +203,8 @@ class PlanningService
      *  same-profile neighbours when batchMax allows. */
     void drainQueue(double nowMs);
     /**
-     * Plan @p seqs (one profile) on one worker slot: plan() for a lone
-     * query, one planBatch() sweep for several. Schedules the
+     * Plan @p seqs (one profile) on one worker slot with one
+     * Planner::plan() call, whatever their number, and schedule the
      * completion event.
      */
     void dispatch(const std::vector<std::uint64_t> &seqs, double nowMs);

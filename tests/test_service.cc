@@ -23,11 +23,15 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/gcp_disk.h"
+#include "cloud/optimizer.h"
 #include "common/logging.h"
+#include "model/profiler.h"
 #include "service/breaker.h"
 #include "service/planner.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "workloads/registry.h"
 
 using namespace doppio;
 using service::CircuitBreaker;
@@ -508,6 +512,69 @@ TEST(Service, ScriptReplayIsByteIdentical)
     EXPECT_EQ(first.runScript(script), second.runScript(script));
 }
 
+TEST(Service, AnswersMatchThePipelineRebuiltFromLibraryParts)
+{
+    // The planner's oracle: the paper's pipeline recomputed with no
+    // planner code — fit on the sample cluster, sweep the service
+    // grid, select, and validate the winner on its cloud cluster. The
+    // deadline rules out the min-cost cell: two different winners.
+    PlanningService svc(testConfig());
+    svc.runScript({
+        "{\"id\":\"cold\",\"workload\":\"lr-small\",\"at_ms\":0}",
+        "{\"id\":\"warm\",\"workload\":\"lr-small\",\"deadline_s\":"
+        "16000,\"at_ms\":50000}",
+    });
+
+    const service::PlannerConfig planner = testConfig().planner;
+    const auto workload = workloads::makeWorkload("lr-small");
+    cluster::ClusterConfig sampleCluster;
+    sampleCluster.numSlaves = planner.sampleNodes;
+    sampleCluster.seed = planner.seed;
+    model::Profiler::Options options;
+    options.sampleNodes = planner.sampleNodes;
+    model::Profiler profiler(workload->runner(), sampleCluster,
+                             spark::SparkConf{}, options);
+    cloud::CostOptimizer::Options search;
+    search.workers = planner.defaultWorkers;
+    search.sizeGrid = service::Planner::coarseSizeGrid();
+    const cloud::CostOptimizer optimizer(profiler.fit(workload->name()),
+                                         cloud::GcpPricing{}, search);
+    const std::vector<cloud::Evaluation> evals = optimizer.evaluatePrefix(
+        optimizer.candidateGrid(), [] { return true; });
+
+    const auto expectAnswer = [&](const char *id,
+                                  const cloud::Constraint &constraint) {
+        const cloud::Evaluation *best = cloud::selectBest(evals, constraint);
+        ASSERT_NE(best, nullptr) << id;
+        cluster::ClusterConfig cluster;
+        cluster.numSlaves = best->config.workers;
+        cluster.node.cores = best->config.vcpus;
+        cluster.node.hdfsDisk = cloud::makeCloudDiskParams(
+            best->config.hdfsType, best->config.hdfsSize);
+        cluster.node.localDisk = cloud::makeCloudDiskParams(
+            best->config.localType, best->config.localSize);
+        cluster.seed = planner.seed;
+        spark::SparkConf conf;
+        conf.executorCores = best->config.vcpus;
+        const double runtime = workload->run(cluster, conf).seconds();
+
+        const Response &r = findResponse(svc, id);
+        EXPECT_EQ(r.status, "ok") << id;
+        EXPECT_FALSE(r.degraded) << id;
+        EXPECT_FALSE(r.modelOnly) << id;
+        EXPECT_EQ(r.config, best->config.describe()) << id;
+        EXPECT_EQ(r.runtimeSec, runtime) << id;
+        EXPECT_EQ(r.costUsd, cloud::jobCost(best->config,
+                                            optimizer.pricing(), runtime))
+            << id;
+        EXPECT_EQ(r.cellsDone, static_cast<int>(evals.size())) << id;
+    };
+    expectAnswer("cold", cloud::Constraint::minCost());
+    expectAnswer("warm", cloud::Constraint::cheapestUnderDeadline(16000));
+    EXPECT_NE(findResponse(svc, "cold").config,
+              findResponse(svc, "warm").config);
+}
+
 // ------------------------------------------------- cold-query coalescing
 
 namespace {
@@ -642,6 +709,37 @@ TEST(Batching, MemberBudgetsAreEnforcedIndividually)
     EXPECT_GT(poor.cellsDone, 0);
     EXPECT_LT(poor.cellsDone, poor.cellsTotal);
     EXPECT_LT(poor.cellsDone, rich.cellsDone);
+}
+
+TEST(Batching, BatchOfClampedMembersEndsAtTheLongestSweepersDeadline)
+{
+    // Every member runs out mid-sweep: the worker is held for the
+    // clamped charges of the member that swept longest, so it is
+    // answered within its own timeout, not a partial cell past it.
+    ServiceConfig config = testConfig();
+    config.workers = 1;
+    config.planner.validate = false;
+    PlanningService svc(config);
+    svc.runScript({
+        "{\"id\":\"prime\",\"workload\":\"lr-small\",\"at_ms\":0}",
+        // A warm lead holds the worker for 72 cells x 5 ms = 360 ms.
+        "{\"id\":\"lead\",\"workload\":\"lr-small\",\"deadline_s\":"
+        "50000,\"at_ms\":50000}",
+        // At dispatch (50 360) m1 has 152.5 ms left and m2 97.3 ms:
+        // they run out after 31 and 20 cells.
+        "{\"id\":\"m1\",\"workload\":\"lr-small\",\"deadline_s\":"
+        "50001,\"timeout_ms\":511.5,\"at_ms\":50001}",
+        "{\"id\":\"m2\",\"workload\":\"lr-small\",\"deadline_s\":"
+        "50002,\"timeout_ms\":455.3,\"at_ms\":50002}",
+    });
+    EXPECT_EQ(svc.stats().batches, 1u);
+    const Response &m1 = findResponse(svc, "m1");
+    const Response &m2 = findResponse(svc, "m2");
+    EXPECT_EQ(m1.cellsDone, 31);
+    EXPECT_EQ(m2.cellsDone, 20);
+    EXPECT_LE(m1.latencyMs, 511.5);
+    EXPECT_DOUBLE_EQ(m1.tMs, 50512.5);
+    EXPECT_DOUBLE_EQ(m2.tMs, m1.tMs);
 }
 
 // --------------------------------------------------------- TCP transport

@@ -21,6 +21,14 @@ Usage:
       which are noisier than medians even in a deterministic bench.
       --threshold-key without --threshold gates only the named keys.
 
+  tools/bench_diff.py --exact BENCH_counters.json PERFBENCH.out
+      Gate: exit 3 listing each changed, missing or extra key unless
+      the "count" metrics in perfbench/run.py's output, keyed
+      <workload>/<metric>, equal the committed map. --counts
+      PERFBENCH.out ("-" = stdin) prints the map; regenerate it with
+        python3 perfbench/run.py --workload all --seconds 0 --trace 1 |
+            python3 tools/bench_diff.py --counts - > BENCH_counters.json
+
   tools/bench_diff.py --selftest
       Run the built-in unit checks (used by CI) and exit 0 on success.
 
@@ -33,13 +41,15 @@ over). Deterministic benches (virtual-time records like BENCH_service)
 are the exception — their ratios are exact, so CI gates them with
 --threshold.
 
-Exit codes: 0 ok, 2 usage error, 3 threshold regression, 4 baseline
-record missing (so CI can tell "no baseline yet" from "regression").
+Exit codes: 0 ok, 2 usage error, 3 threshold regression or count change,
+4 baseline record missing (so CI can tell "no baseline yet" from
+"regression").
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -176,6 +186,32 @@ def print_table(baseline, current):
               f"key(s): {mean:.3f}x")
 
 
+def perfbench_counts(lines):
+    """{"<workload>/<metric>": value} for each "count" metric of a
+    perfbench run's result lines, keyed by the header before each."""
+    counts, workload = {}, None
+    for line in lines:
+        # A header reads "cli-lr (lr-large, traced, seed 1, ...)".
+        if match := re.match(r"([a-z0-9-]+) \(", line):
+            workload = match.group(1)
+        elif line.startswith("{"):
+            if workload is None:
+                sys.exit("error: perfbench result line without a header")
+            for name, metric in json.loads(line)["metrics"].items():
+                if metric["unit"] == "count":
+                    counts[f"{workload}/{name}"] = metric["value"]
+            workload = None
+    return counts
+
+
+def count_changes(baseline, current):
+    """One line, with both values, per changed, missing or extra key."""
+    keys = list(baseline) + [k for k in current if k not in baseline]
+    values = [(k, baseline.get(k, "absent"), current.get(k, "absent"))
+              for k in keys]
+    return [f"{k}: baseline {b} current {c}" for k, b, c in values if b != c]
+
+
 def selftest():
     """Unit checks for the pure helpers plus the two exit paths."""
     rec = lambda bench, results: {"bench": bench, "results": results}
@@ -271,6 +307,20 @@ def selftest():
         for path in (good, other, bad):
             os.unlink(path)
 
+    # Exact counts: "count" units only, keyed by the header before each
+    # result line; a changed, a missing and an extra key are listed.
+    line = json.dumps({"metrics": {
+        "sim.events_fired": {"value": 5, "unit": "count"},
+        "workloads.sim_s": {"value": 1.5, "unit": "s"}}})
+    got = perfbench_counts(["plan (traced, seed 1)", "baseline: |", line])
+    assert got == {"plan/sim.events_fired": 5}, got
+    base = {"w/a": 5}
+    assert count_changes(base, {"w/a": 5}) == []
+    assert count_changes(base, {"w/a": 6}) == ["w/a: baseline 5 current 6"]
+    assert count_changes(base, {}) == ["w/a: baseline 5 current absent"]
+    assert count_changes(base, {"w/a": 5, "w/b": 0}) == [
+        "w/b: baseline absent current 0"]
+
     print("bench_diff selftest: OK")
 
 
@@ -283,6 +333,10 @@ def main():
                         help="emit the combined baseline record")
     parser.add_argument("--selftest", action="store_true",
                         help="run the built-in unit checks")
+    parser.add_argument("--counts", action="store_true",
+                        help="print a perfbench output's count map")
+    parser.add_argument("--exact", action="store_true",
+                        help="gate perfbench output on a count map")
     parser.add_argument("-o", "--output", default=None,
                         help="write merged record here (default stdout)")
     parser.add_argument("--threshold", type=float, default=None,
@@ -297,8 +351,21 @@ def main():
     if args.selftest:
         selftest()
         return
+    if args.counts and args.baseline:
+        with sys.stdin if args.baseline == "-" else open(args.baseline) as fh:
+            print(json.dumps(perfbench_counts(fh), indent=2))
+        return
     if not args.baseline or not args.current:
         parser.error("baseline and current records are required")
+    if args.exact:
+        with open(args.baseline) as base, open(args.current) as cur:
+            changes = count_changes(json.load(base), perfbench_counts(cur))
+        for change in changes:
+            print(f"COUNT {change}", file=sys.stderr)
+        if changes:
+            sys.exit(EXIT_REGRESSION)
+        print("exact gate: OK")
+        return
     per_key = parse_threshold_keys(args.threshold_key)
 
     if not os.path.exists(args.baseline):

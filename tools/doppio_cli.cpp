@@ -926,8 +926,8 @@ usage()
            "up\n"
            "                to N queued same-profile queries; 1 "
            "off)\n"
-           "                --sweep-jobs J (threads for batched "
-           "sweeps)\n"
+           "                --sweep-jobs J (threads per grid "
+           "sweep)\n"
            "                --metrics-out FILE (service Prometheus "
            "text)\n"
            "                --postmortem FILE (flight-recorder dump "
