@@ -88,8 +88,8 @@ figureGrids(bool smoke)
 /**
  * Constraints spanning the interesting range, derived from the grid's
  * own extremes so they stay meaningful if the model drifts. The probe
- * runs two exhaustive sweeps, which also warms its table cache — the
- * timed runs copy it so they measure evaluation, not table building.
+ * runs two exhaustive sweeps, which also profiles every grid disk —
+ * so the timed runs measure evaluation, not table building.
  */
 std::vector<cloud::Constraint>
 constraintSet(const cloud::CostOptimizer &probe, bool smoke)
@@ -138,23 +138,25 @@ constrainedScenario(const model::AppModel &app, bool smoke,
         double gridBnb = 0.0;
         double gridExh = 0.0;
         // A single warm-table search is microseconds; repeat it on a
-        // fresh copy each round so the timed region is long enough to
-        // measure. The copies happen outside the timers.
+        // fresh optimizer each round so the timed region is long enough
+        // to measure. The optimizers are built outside the timers.
         const int repeats = smoke ? 40 : 200;
         for (const cloud::Constraint &constraint : constraints) {
-            // Copies of the warm probe: warm table cache, cold memo —
-            // the steady-state cost of a first-of-its-kind constrained
-            // query on a warm service, with the two search strategies
-            // as the only difference.
+            // Fresh optimizers after the probe: warm disk tables, cold
+            // memo — the steady-state cost of a first-of-its-kind
+            // constrained query on a warm service, with the two search
+            // strategies as the only difference.
             cloud::ConstrainedResult fast;
             cloud::ConstrainedResult reference;
             for (int rep = 0; rep < repeats; ++rep) {
-                const cloud::CostOptimizer pruned(probe);
+                const cloud::CostOptimizer pruned(app, cloud::GcpPricing{},
+                                                  options);
                 auto start = std::chrono::steady_clock::now();
                 fast = pruned.optimizeConstrained(constraint);
                 gridBnb += wallSeconds(start);
 
-                const cloud::CostOptimizer full(probe);
+                const cloud::CostOptimizer full(app, cloud::GcpPricing{},
+                                                options);
                 start = std::chrono::steady_clock::now();
                 reference = full.optimizeExhaustive(constraint);
                 gridExh += wallSeconds(start);

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "storage/fio.h"
 
 namespace doppio::cloud {
 
@@ -144,45 +143,6 @@ CostOptimizer::CostOptimizer(model::AppModel appModel, GcpPricing pricing,
             options_.memoCapacity);
 }
 
-CostOptimizer::CostOptimizer(const CostOptimizer &other)
-    : app_(other.app_), pricing_(other.pricing_),
-      options_(other.options_)
-{
-    {
-        const std::lock_guard<std::mutex> lock(*other.tableCacheMutex_);
-        tableCache_ = other.tableCache_;
-    }
-    const std::lock_guard<std::mutex> lock(*other.memoMutex_);
-    stats_ = other.stats_;
-    // The memo starts cold: LruCache's index holds iterators into its
-    // own list, so a memberwise copy would alias the source — and a
-    // cache refills itself.
-    if (options_.memoCapacity > 0)
-        memo_ = std::make_unique<common::LruCache<std::string, Evaluation>>(
-            options_.memoCapacity);
-}
-
-CostOptimizer &
-CostOptimizer::operator=(const CostOptimizer &other)
-{
-    if (this == &other)
-        return *this;
-    app_ = other.app_;
-    pricing_ = other.pricing_;
-    options_ = other.options_;
-    {
-        const std::lock_guard<std::mutex> lock(*other.tableCacheMutex_);
-        tableCache_ = other.tableCache_;
-    }
-    const std::lock_guard<std::mutex> lock(*other.memoMutex_);
-    stats_ = other.stats_;
-    memo_.reset();
-    if (options_.memoCapacity > 0)
-        memo_ = std::make_unique<common::LruCache<std::string, Evaluation>>(
-            options_.memoCapacity);
-    return *this;
-}
-
 std::vector<Bytes>
 CostOptimizer::defaultSizeGrid()
 {
@@ -197,40 +157,6 @@ CostOptimizer::defaultSizeGrid()
             grid.push_back(static_cast<Bytes>(mid * 1e9));
     }
     return grid;
-}
-
-const std::pair<LookupTable, LookupTable> &
-CostOptimizer::tablesFor(CloudDiskType type, Bytes size) const
-{
-    const auto key = std::make_pair(static_cast<int>(type), size);
-    {
-        const std::lock_guard<std::mutex> lock(*tableCacheMutex_);
-        const auto it = tableCache_.find(key);
-        if (it != tableCache_.end())
-            return it->second;
-    }
-    // Fill outside the lock: the fio sweep is the expensive part and
-    // is deterministic, so two threads racing on the same key compute
-    // identical tables and the losing emplace is a no-op.
-    const storage::FioProfiler profiler(makeCloudDiskParams(type, size));
-    auto tables = std::make_pair(
-        profiler.bandwidthTable(storage::IoKind::Read),
-        profiler.bandwidthTable(storage::IoKind::Write));
-    const std::lock_guard<std::mutex> lock(*tableCacheMutex_);
-    return tableCache_.emplace(key, std::move(tables)).first->second;
-}
-
-model::PlatformProfile
-CostOptimizer::profileFor(const CloudConfig &config) const
-{
-    const auto &hdfs = tablesFor(config.hdfsType, config.hdfsSize);
-    const auto &local = tablesFor(config.localType, config.localSize);
-    model::PlatformProfile profile;
-    profile.hdfsRead = hdfs.first;
-    profile.hdfsWrite = hdfs.second;
-    profile.localRead = local.first;
-    profile.localWrite = local.second;
-    return profile;
 }
 
 std::string
@@ -257,8 +183,11 @@ CostOptimizer::evaluateUncached(const CloudConfig &config) const
 {
     Evaluation eval;
     eval.config = config;
-    eval.seconds = app_.predictSeconds(config.workers, config.vcpus,
-                                       profileFor(config));
+    eval.seconds = app_.predictSeconds(
+        config.workers, config.vcpus,
+        model::PlatformProfile::fromDisks(
+            makeCloudDiskParams(config.hdfsType, config.hdfsSize),
+            makeCloudDiskParams(config.localType, config.localSize)));
     if (options_.secondsHook)
         eval.seconds = options_.secondsHook(config, eval.seconds);
     eval.cost = jobCost(config, pricing_, eval.seconds);

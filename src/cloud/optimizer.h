@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -162,15 +161,6 @@ class CostOptimizer
     CostOptimizer(model::AppModel appModel, GcpPricing pricing,
                   Options options);
 
-    // Copies share nothing: the table cache and cumulative search
-    // stats are duplicated, the evaluation memo starts cold (it is
-    // only a cache) and the copy gets its own mutexes.
-    CostOptimizer(const CostOptimizer &other);
-    CostOptimizer &operator=(const CostOptimizer &other);
-    CostOptimizer(CostOptimizer &&) = default;
-    CostOptimizer &operator=(CostOptimizer &&) = default;
-    ~CostOptimizer() = default;
-
     /**
      * Predict runtime and cost for one configuration, through the
      * evaluation memo. Thread-safe; a memo hit is byte-identical to a
@@ -233,7 +223,7 @@ class CostOptimizer
     /** The default geometric size grid. */
     static std::vector<Bytes> defaultSizeGrid();
 
-    /** Cumulative search counters since construction (or copy). */
+    /** Cumulative search counters since construction. */
     SearchStats searchStats() const;
 
     const Options &options() const { return options_; }
@@ -241,22 +231,10 @@ class CostOptimizer
 
   private:
     /**
-     * Cached effective-bandwidth tables per provisioned disk.
-     * Thread-safe: concurrent fills of the same key race benignly —
-     * the FioProfiler sweep is deterministic, so both threads compute
-     * bit-identical tables and the losing emplace is discarded
-     * ("first insert wins" only picks which identical copy survives;
-     * see DeterministicAcrossJobCounts in test_optimizer) — and
-     * std::map nodes are stable, so the returned reference outlives
-     * later inserts. The evaluation memo below relies on the same
-     * determinism: a racing fill stores the same bytes.
+     * One model evaluation, bypassing the memo. The candidate's disk
+     * tables come from PlatformProfile::fromDisks, which profiles each
+     * disk once per process.
      */
-    const std::pair<LookupTable, LookupTable> &
-    tablesFor(CloudDiskType type, Bytes size) const;
-
-    model::PlatformProfile profileFor(const CloudConfig &config) const;
-
-    /** One model evaluation, bypassing the memo. */
     Evaluation evaluateUncached(const CloudConfig &config) const;
 
     /** Packed numeric memo key (describe() rounds sizes; this
@@ -277,12 +255,7 @@ class CostOptimizer
     model::AppModel app_;
     GcpPricing pricing_;
     Options options_;
-    // Behind unique_ptrs so the optimizer stays movable.
-    mutable std::unique_ptr<std::mutex> tableCacheMutex_ =
-        std::make_unique<std::mutex>();
-    mutable std::map<std::pair<int, Bytes>,
-                     std::pair<LookupTable, LookupTable>>
-        tableCache_;
+    // Behind a unique_ptr so the optimizer stays movable.
     mutable std::unique_ptr<std::mutex> memoMutex_ =
         std::make_unique<std::mutex>();
     /** Null when Options::memoCapacity == 0. */

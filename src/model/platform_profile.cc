@@ -1,11 +1,44 @@
 #include "model/platform_profile.h"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "common/logging.h"
 #include "storage/fio.h"
 
 namespace doppio::model {
 
 namespace {
+
+/** One device's read and write bandwidth tables. */
+using DiskTables = std::pair<LookupTable, LookupTable>;
+
+/**
+ * The process-wide profile memo: each distinct device is swept once.
+ * The sweep runs outside the lock — it is the expensive part and is
+ * deterministic, so two threads racing on one device compute
+ * identical tables and the losing emplace is a no-op (first insert
+ * wins). std::map nodes are stable, so the returned reference
+ * outlives later inserts.
+ */
+const DiskTables &
+tablesFor(const storage::DiskParams &disk)
+{
+    static std::mutex mutex;
+    static std::map<storage::DiskParams, DiskTables> memo;
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        const auto it = memo.find(disk);
+        if (it != memo.end())
+            return it->second;
+    }
+    const storage::FioProfiler profiler(disk);
+    DiskTables tables(profiler.bandwidthTable(storage::IoKind::Read),
+                      profiler.bandwidthTable(storage::IoKind::Write));
+    const std::lock_guard<std::mutex> lock(mutex);
+    return memo.emplace(disk, std::move(tables)).first->second;
+}
 
 /** Scale a bandwidth table's values by a striping factor. */
 LookupTable
@@ -26,17 +59,9 @@ PlatformProfile
 PlatformProfile::fromDisks(const storage::DiskParams &hdfsDisk,
                            const storage::DiskParams &localDisk)
 {
-    const storage::FioProfiler hdfs_profiler(hdfsDisk);
-    const storage::FioProfiler local_profiler(localDisk);
-    PlatformProfile profile;
-    profile.hdfsRead = hdfs_profiler.bandwidthTable(storage::IoKind::Read);
-    profile.hdfsWrite =
-        hdfs_profiler.bandwidthTable(storage::IoKind::Write);
-    profile.localRead =
-        local_profiler.bandwidthTable(storage::IoKind::Read);
-    profile.localWrite =
-        local_profiler.bandwidthTable(storage::IoKind::Write);
-    return profile;
+    const DiskTables &hdfs = tablesFor(hdfsDisk);
+    const DiskTables &local = tablesFor(localDisk);
+    return {hdfs.first, hdfs.second, local.first, local.second};
 }
 
 PlatformProfile

@@ -29,8 +29,11 @@ struct PlatformProfile
     LookupTable localWrite;
 
     /**
-     * Build by running the fio microbenchmark sweep against the two
-     * device models (the "one-time disk profiling" step).
+     * Build from the fio microbenchmark sweep of the two device models
+     * (the "one-time disk profiling" step). Each distinct device is
+     * swept once per process: the tables depend only on its
+     * DiskParams, so later calls — from Profiler::fit, the optimizer's
+     * grid cells or any thread — read a shared, mutex-guarded memo.
      */
     static PlatformProfile fromDisks(const storage::DiskParams &hdfsDisk,
                                      const storage::DiskParams &localDisk);

@@ -12,6 +12,11 @@ namespace doppio::service {
 
 namespace {
 
+/** Fitted models kept hot (LRU), keyed by profileKey(). */
+constexpr std::size_t kModelCacheCapacity = 8;
+constexpr double kBackoffMaxMs = 1000.0; //!< exponential backoff cap
+constexpr double kBackoffJitter = 0.2;   //!< uniform jitter fraction on top
+
 /** Map a plan query's mode onto the optimizer's constraint. */
 cloud::Constraint
 constraintFor(const Request &req)
@@ -48,7 +53,7 @@ DeadlineBudget::charge(double ms)
 
 Planner::Planner(PlannerConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      cache_(config_.modelCacheCapacity)
+      cache_(kModelCacheCapacity)
 {
     if (config_.sampleNodes < 1)
         fatal("Planner: sampleNodes must be positive");
@@ -62,9 +67,8 @@ Planner::Planner(PlannerConfig config)
         fatal("Planner: maxRetries must be non-negative");
     if (config_.evalFailRate < 0.0 || config_.evalFailRate >= 1.0)
         fatal("Planner: evalFailRate must be in [0, 1)");
-    if (config_.backoffBaseMs < 0.0 || config_.backoffMaxMs < 0.0 ||
-        config_.backoffJitter < 0.0)
-        fatal("Planner: backoff parameters must be non-negative");
+    if (config_.backoffBaseMs < 0.0)
+        fatal("Planner: backoffBaseMs must be non-negative");
     if (config_.sweepJobs < 0)
         fatal("Planner: sweepJobs must be non-negative");
     config_.faults.validate();
@@ -123,9 +127,9 @@ Planner::runBudgeted(const workloads::Workload &workload,
             ++reqRetries_;
             ++totals_.retries;
             double backoff = std::min(
-                config_.backoffMaxMs,
+                kBackoffMaxMs,
                 config_.backoffBaseMs * static_cast<double>(1 << attempt));
-            backoff *= 1.0 + config_.backoffJitter * rng_.uniform();
+            backoff *= 1.0 + kBackoffJitter * rng_.uniform();
             const double charged = budget.charge(backoff);
             reqBackoffMs_ += charged;
             totals_.backoffMsTotal += charged;
@@ -200,8 +204,7 @@ Planner::buildOptimizer(const Request &req, DeadlineBudget &budget)
 
     cloud::CostOptimizer::Options search;
     search.workers = resolveWorkers(req);
-    search.sizeGrid =
-        config_.sizeGrid.empty() ? coarseSizeGrid() : config_.sizeGrid;
+    search.sizeGrid = coarseSizeGrid();
     search.jobs = config_.sweepJobs;
     return cloud::CostOptimizer(std::move(app), cloud::GcpPricing{},
                                 std::move(search));

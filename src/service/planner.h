@@ -91,20 +91,14 @@ struct PlannerConfig
     double cellCostMs = 5.0;
     /** Transient slow-path failure retries before giving up. */
     int maxRetries = 3;
-    double backoffBaseMs = 50.0;  //!< first retry backoff
-    double backoffMaxMs = 1000.0; //!< exponential backoff cap
-    double backoffJitter = 0.2;   //!< uniform jitter fraction on top
+    double backoffBaseMs = 50.0; //!< first retry backoff
     /** Injected per-attempt transient slow-path failure probability. */
     double evalFailRate = 0.0;
     std::uint64_t seed = 42; //!< failure/jitter draws + sim clusters
     /** Validate the winning configuration with a simulator run. */
     bool validate = true;
-    /** Fitted models kept hot (LRU), keyed by workload + fleet size. */
-    std::size_t modelCacheCapacity = 8;
     /** Faults injected into every slow-path simulator run. */
     faults::FaultSpec faults;
-    /** Disk-size grid; empty = coarseSizeGrid(). */
-    std::vector<Bytes> sizeGrid;
     /**
      * Persistent model store (DESIGN.md §16): fitted Eq. 1 constants
      * are loaded from this file at construction and saved after every

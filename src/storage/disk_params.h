@@ -21,6 +21,7 @@
 #ifndef DOPPIO_STORAGE_DISK_PARAMS_H
 #define DOPPIO_STORAGE_DISK_PARAMS_H
 
+#include <compare>
 #include <string>
 
 #include "common/sim_time.h"
@@ -59,6 +60,9 @@ struct DiskParams
 
     /** Validate positivity of all rates; fatal() on error. */
     void validate() const;
+
+    /** Field-wise order: the key of the platform-profile memo. */
+    auto operator<=>(const DiskParams &) const = default;
 };
 
 /**

@@ -9,18 +9,17 @@
 
 namespace doppio::storage {
 
-FioProfiler::FioProfiler(DiskParams params, Config config)
-    : params_(std::move(params)), config_(config)
+namespace {
+
+constexpr int kQueueDepth = 32;        //!< concurrent workers
+constexpr int kRequestsPerWorker = 64; //!< sequential requests per worker
+
+} // namespace
+
+FioProfiler::FioProfiler(DiskParams params) : params_(std::move(params))
 {
     params_.validate();
-    if (config_.queueDepth <= 0 || config_.requestsPerWorker <= 0)
-        fatal("FioProfiler: queueDepth and requestsPerWorker must be "
-              "positive");
 }
-
-FioProfiler::FioProfiler(DiskParams params)
-    : FioProfiler(std::move(params), Config{})
-{}
 
 FioResult
 FioProfiler::measure(IoKind kind, Bytes requestSize) const
@@ -34,18 +33,18 @@ FioProfiler::measure(IoKind kind, Bytes requestSize) const
         kind == IoKind::Read ? IoOp::RawRead : IoOp::RawWrite;
 
     // Each worker issues its next request when the previous one
-    // completes, emulating fio's per-job synchronous loop at the
-    // configured aggregate queue depth.
+    // completes, emulating fio's per-job synchronous loop at a fixed
+    // aggregate queue depth.
     struct Worker
     {
         int remaining;
         std::function<void()> issue;
     };
     std::vector<std::unique_ptr<Worker>> workers;
-    workers.reserve(static_cast<std::size_t>(config_.queueDepth));
-    for (int w = 0; w < config_.queueDepth; ++w) {
+    workers.reserve(kQueueDepth);
+    for (int w = 0; w < kQueueDepth; ++w) {
         auto worker = std::make_unique<Worker>();
-        worker->remaining = config_.requestsPerWorker;
+        worker->remaining = kRequestsPerWorker;
         Worker *raw = worker.get();
         worker->issue = [raw, &dev, op, requestSize]() {
             if (raw->remaining == 0)

@@ -7,8 +7,10 @@
  * bandwidth, and build lookup tables the model consults (§III-C, §VI-1,
  * Fig. 5). FioProfiler plays that role against the simulated devices:
  * each measurement point runs a private discrete-event simulation with
- * queueDepth concurrent workers issuing fixed-size requests
- * back-to-back, and reports aggregate IOPS and bandwidth.
+ * a fixed queue depth of 32 workers, each issuing 64 fixed-size
+ * requests back-to-back, and reports aggregate IOPS and bandwidth.
+ * The tables Eq. 1 consumes come from model::PlatformProfile, which
+ * sweeps each device once per process.
  */
 
 #ifndef DOPPIO_STORAGE_FIO_H
@@ -35,20 +37,10 @@ struct FioResult
 class FioProfiler
 {
   public:
-    /** Measurement configuration. */
-    struct Config
-    {
-        int queueDepth = 32;        //!< concurrent workers
-        int requestsPerWorker = 64; //!< sequential requests per worker
-    };
-
     /**
      * @param params device to profile (a private DiskDevice instance is
      *               created per measurement point).
      */
-    explicit FioProfiler(DiskParams params, Config config);
-
-    /** Profile with the default configuration. */
     explicit FioProfiler(DiskParams params);
 
     /** Measure aggregate IOPS/bandwidth at one request size. */
@@ -76,7 +68,6 @@ class FioProfiler
 
   private:
     DiskParams params_;
-    Config config_;
 };
 
 } // namespace doppio::storage

@@ -87,8 +87,6 @@ TEST(Fio, WriteTableBelowOrEqualReadCeiling)
 
 TEST(Fio, InvalidConfigRejected)
 {
-    EXPECT_THROW(FioProfiler(makeHddParams(), {0, 64}), FatalError);
-    EXPECT_THROW(FioProfiler(makeHddParams(), {32, 0}), FatalError);
     const FioProfiler ok(makeHddParams());
     EXPECT_THROW(ok.measure(IoKind::Read, 0), FatalError);
 }
